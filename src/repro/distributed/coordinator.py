@@ -3,12 +3,18 @@
 The :class:`Coordinator` owns a TCP server socket and the batch state:
 pending run indices, outstanding leases, completed outcomes, per-spec
 crash budgets.  Workers (:mod:`repro.distributed.worker`) connect,
-introduce themselves, and *pull* work — the coordinator never pushes —
-so scheduling is work-stealing by construction: a fast worker simply
-comes back for more while a slow one is still simulating, and the
-grant size shrinks as the tail shortens (see :meth:`Coordinator._grant`)
-so the campaign never ends with one worker grinding through a large
-chunk while the rest sit idle.
+introduce themselves, and *pull* work — the coordinator never pushes
+unasked — so scheduling is work-stealing by construction: a fast worker
+simply comes back for more while a slow one is still simulating, and
+the grant size shrinks as the tail shortens (see
+:meth:`Coordinator._grant_size`) so the campaign never ends with one
+worker grinding through a large chunk while the rest sit idle.
+
+A request that finds the queue empty is *parked* on its worker rather
+than answered: whichever path next adds work — :meth:`Coordinator
+.submit`, or a dead or departing worker's requeue — answers it with a
+lease at once.  The connection thread keeps reading meanwhile, so
+heartbeats and EOF still reach the failure detector.
 
 Failure model
 -------------
@@ -74,9 +80,6 @@ from .discovery import write_endpoint
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..observe.telemetry import CampaignTelemetry
 
-#: How long an idle worker is told to wait before pulling again.
-IDLE_RETRY_S = 0.05
-
 #: Default heartbeat cadence pushed to workers in the welcome frame.
 DEFAULT_HEARTBEAT_S = 0.5
 
@@ -87,7 +90,9 @@ DEFAULT_LEASE_TIMEOUT_S = 15.0
 class _Lease:
     """One grant of contiguous work to one worker."""
 
-    __slots__ = ("lease_id", "worker", "indices", "reported", "deadline")
+    __slots__ = (
+        "lease_id", "worker", "indices", "reported", "deadline", "sent",
+    )
 
     def __init__(
         self,
@@ -106,6 +111,10 @@ class _Lease:
         #: (any deadline-less spec may legitimately run arbitrarily
         #: long — same rule as the pool backend's chunk backstop).
         self.deadline = deadline
+        #: Set once the lease frame has left this host.  A dead
+        #: worker's unsent lease started nothing, so none of its runs
+        #: is charged as in flight.
+        self.sent = False
 
     def unreported(self) -> _t.List[int]:
         return [i for i in self.indices if i not in self.reported]
@@ -114,17 +123,20 @@ class _Lease:
 class _Worker:
     """Connection-side state of one registered worker."""
 
-    __slots__ = ("name", "sock", "send_lock", "last_seen", "lease")
+    __slots__ = (
+        "name", "sock", "send_lock", "last_seen", "lease", "parked",
+    )
 
     def __init__(self, name: str, sock: socket.socket):
         self.name = name
         self.sock = sock
-        #: Results and control frames share the socket with nothing —
-        #: only the handler thread sends to a worker — but the lock
-        #: keeps that invariant explicit and cheap.
+        #: A parked request is answered by whichever thread adds work,
+        #: so frames to one worker can come from several threads.
         self.send_lock = threading.Lock()
         self.last_seen = time.monotonic()  # vp-lint: disable=VP005 - liveness bookkeeping, not model behavior
         self.lease: _t.Optional[_Lease] = None
+        #: True while its last ``request`` waits for work.
+        self.parked = False
 
 
 class Coordinator:
@@ -222,7 +234,10 @@ class Coordinator:
             self._crash_counts = {}
             self._batch_size = len(specs)
             self._pending.extend(spec.index for spec in specs)
+            grants = self._lease_parked()
             self._lock.notify_all()
+        self._send_leases(grants)
+        with self._lock:
             while len(self._done) < len(specs):
                 if self._closing:
                     raise RuntimeError("coordinator closed mid-batch")
@@ -270,8 +285,9 @@ class Coordinator:
             )
         return time.monotonic() + budget  # vp-lint: disable=VP005 - lease backstop bookkeeping, not model behavior
 
-    def _grant(self, worker: _Worker) -> _t.Dict[str, _t.Any]:
-        """Build the reply to one work request (lease or idle)."""
+    def _grant(self, worker: _Worker) -> _t.Optional[_t.Dict[str, _t.Any]]:
+        """Build the reply to one work request: a lease, ``shutdown``,
+        or None when the request is parked until work arrives."""
         with self._lock:
             if self._closing:
                 return protocol.shutdown()
@@ -285,23 +301,65 @@ class Coordinator:
                 )
             worker.lease = None
             if not self._pending:
-                return protocol.idle(IDLE_RETRY_S)
-            count = self._grant_size()
-            indices = [
-                self._pending.popleft()
-                for _ in range(min(count, len(self._pending)))
-            ]
-            specs = [self._respec(index) for index in indices]
-            self._lease_seq += 1
-            self.leases_granted += 1
-            lease = _Lease(
-                self._lease_seq,
-                worker.name,
-                indices,
-                self._lease_deadline(specs),
-            )
-            worker.lease = lease
-            return protocol.lease(lease.lease_id, specs)
+                worker.parked = True
+                return None
+            return self._lease(worker)
+
+    def _lease(self, worker: _Worker) -> _t.Dict[str, _t.Any]:
+        """Take the next grant off the queue for *worker* (lock held)."""
+        count = self._grant_size()
+        indices = [
+            self._pending.popleft()
+            for _ in range(min(count, len(self._pending)))
+        ]
+        specs = [self._respec(index) for index in indices]
+        self._lease_seq += 1
+        self.leases_granted += 1
+        lease = _Lease(
+            self._lease_seq,
+            worker.name,
+            indices,
+            self._lease_deadline(specs),
+        )
+        worker.lease = lease
+        return protocol.lease(lease.lease_id, specs)
+
+    def _lease_parked(
+        self,
+    ) -> _t.List[_t.Tuple[_Worker, _t.Dict[str, _t.Any]]]:
+        """Answer parked requests from the queue (lock held); the caller
+        sends the returned frames with :meth:`_send_leases` once it has
+        released the lock."""
+        grants = []
+        for worker in self._workers.values():
+            if not self._pending or self._closing:
+                break
+            if worker.parked:
+                worker.parked = False
+                grants.append((worker, self._lease(worker)))
+        return grants
+
+    def _send_lease(
+        self, worker: _Worker, frame: _t.Dict[str, _t.Any]
+    ) -> bool:
+        """Send *worker*'s just-granted lease frame; on failure declare
+        the worker dead (its unsent lease requeues uncharged) and
+        return False."""
+        lease = worker.lease
+        try:
+            with worker.send_lock:
+                protocol.send_frame(worker.sock, frame)
+        except OSError as exc:
+            self._mark_dead(worker.name, f"lease send failed: {exc}")
+            return False
+        lease.sent = True
+        return True
+
+    def _send_leases(
+        self, grants: _t.List[_t.Tuple[_Worker, _t.Dict[str, _t.Any]]]
+    ) -> None:
+        for worker, frame in grants:
+            self._send_lease(worker, frame)
 
     def _respec(self, index: int) -> RunSpec:
         """The spec to dispatch for *index*, carrying its attempt count.
@@ -318,6 +376,19 @@ class Coordinator:
         return spec
 
     # -- result / failure accounting ----------------------------------------
+
+    def _owed(self, indices: _t.Iterable[int]) -> _t.List[int]:
+        """The *indices* this batch still needs an outcome for."""
+        return [
+            i for i in indices if i in self._specs and i not in self._done
+        ]
+
+    def _requeue(self, indices: _t.Iterable[int]) -> int:
+        """Put still-owed *indices* back at the head of the queue, in
+        order (lock held); returns how many were requeued."""
+        owed = self._owed(indices)
+        self._pending.extendleft(reversed(owed))
+        return len(owed)
 
     def _record(self, name: str, outcome: RunOutcome) -> None:
         with self._lock:
@@ -352,11 +423,10 @@ class Coordinator:
                 pass
             lease = worker.lease
             requeued = 0
-            if lease is not None:
-                unreported = [
-                    i for i in lease.unreported() if i in self._specs
-                    and i not in self._done
-                ]
+            if lease is not None and not lease.sent:
+                requeued = self._requeue(lease.indices)
+            elif lease is not None:
+                unreported = self._owed(lease.unreported())
                 if unreported:
                     in_flight, innocents = unreported[0], unreported[1:]
                     if hung:
@@ -397,19 +467,19 @@ class Coordinator:
                         else:
                             self._pending.appendleft(in_flight)
                             requeued += 1
-                    for index in reversed(innocents):
-                        # Provably queued behind the in-flight run on
-                        # the worker (leases execute in grant order):
-                        # requeue free of charge.
-                        self._pending.appendleft(index)
-                        requeued += 1
+                    # Provably queued behind the in-flight run on the
+                    # worker (leases execute in grant order): requeue
+                    # free of charge.
+                    requeued += self._requeue(innocents)
             if self.telemetry is not None:
                 self.telemetry.on_worker_dead({
                     "worker": name,
                     "reason": reason,
                     "requeued": requeued,
                 })
+            grants = self._lease_parked()
             self._lock.notify_all()
+        self._send_leases(grants)
         if self.on_worker_dead is not None:
             self.on_worker_dead(name, reason)
 
@@ -469,6 +539,7 @@ class Coordinator:
         name: _t.Optional[str] = None
         try:
             sock.settimeout(None)
+            protocol.set_nodelay(sock)
             name = protocol.check_hello(protocol.recv_frame(sock))
             worker = _Worker(name, sock)
             with self._lock:
@@ -494,9 +565,13 @@ class Coordinator:
                     continue
                 if kind == "request":
                     reply = self._grant(worker)
-                    with worker.send_lock:
-                        protocol.send_frame(sock, reply)
+                    if reply is None:
+                        continue  # parked: the next work to arrive answers
                     if reply["type"] == "shutdown":
+                        with worker.send_lock:
+                            protocol.send_frame(sock, reply)
+                        break
+                    if not self._send_lease(worker, reply):
                         break
                 elif kind == "result":
                     self._record(
@@ -530,12 +605,10 @@ class Coordinator:
             if worker is None:
                 return
             if worker.lease is not None:
-                for index in reversed([
-                    i for i in worker.lease.unreported()
-                    if i in self._specs and i not in self._done
-                ]):
-                    self._pending.appendleft(index)
+                self._requeue(worker.lease.unreported())
+            grants = self._lease_parked()
             self._lock.notify_all()
+        self._send_leases(grants)
         if self.telemetry is not None:
             self.telemetry.on_worker_leave({"worker": name})
 

@@ -14,15 +14,20 @@ type                    direction  payload
 ======================  =========  ==========================================
 ``hello``               w -> c     ``version``, ``schema``, worker ``name``
 ``welcome``             c -> w     ``version``, ``heartbeat_s``
-``request``             w -> c     (empty) — pull the next lease
+``request``             w -> c     (empty) — pull the next lease; the
+                                   coordinator parks it until work exists
 ``lease``               c -> w     ``lease_id``, ``specs`` (RunSpec jsonable)
 ``result``              w -> c     ``lease_id``, ``outcome`` (RunOutcome
                                    jsonable) — one frame per completed run
 ``heartbeat``           w -> c     (empty) — liveness, sent off-thread
-``idle``                c -> w     ``retry_after_s`` — no work right now
 ``shutdown``            c -> w     (empty) — campaign over, worker exits
 ``leave``               w -> c     (empty) — clean goodbye
 ======================  =========  ==========================================
+
+Every ``request`` gets exactly one reply, ``lease`` or ``shutdown``,
+however long it has to wait for one (protocol version 2; version 1
+answered an empty queue with an ``idle`` retry hint the worker slept
+on).
 
 Specs and outcomes reuse the exact jsonable schema the checkpoint
 journal persists (``RunSpec.to_jsonable`` / ``RunOutcome.to_jsonable``,
@@ -42,7 +47,7 @@ import typing as _t
 from ..core.runspec import OUTCOME_SCHEMA_VERSION, RunOutcome, RunSpec
 
 #: Bump on any incompatible change to the frame vocabulary above.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard cap on one frame's payload; a length prefix beyond this is a
 #: corrupt stream (or a port scanner), not a lease.
@@ -75,11 +80,27 @@ def encode_frame(message: _t.Mapping[str, _t.Any]) -> bytes:
 def decode_payload(payload: bytes) -> _t.Dict[str, _t.Any]:
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame payload: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: a few kilobytes of nested brackets exhaust the
+        # decoder's stack; that is a malformed frame, not a crash.
+        raise ProtocolError(
+            f"undecodable frame payload: {type(exc).__name__}: {exc}"
+        ) from None
     if not isinstance(message, dict) or "type" not in message:
         raise ProtocolError("frame payload is not a typed message object")
     return message
+
+
+def set_nodelay(sock: socket.socket) -> None:
+    """Turn off Nagle's algorithm on a TCP socket; no-op otherwise.
+
+    Frames are small and latency-bound: a worker's ``request`` follows
+    a stream of ``result`` frames the coordinator never answers, so
+    with Nagle on it waits for the coordinator's delayed ACK (tens of
+    milliseconds on Linux) before it leaves the host.
+    """
+    if sock.family in (socket.AF_INET, socket.AF_INET6):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def send_frame(
@@ -161,10 +182,6 @@ def result(lease_id: int, outcome: RunOutcome) -> _t.Dict[str, _t.Any]:
 
 def heartbeat() -> _t.Dict[str, _t.Any]:
     return {"type": "heartbeat"}
-
-
-def idle(retry_after_s: float) -> _t.Dict[str, _t.Any]:
-    return {"type": "idle", "retry_after_s": retry_after_s}
 
 
 def shutdown() -> _t.Dict[str, _t.Any]:

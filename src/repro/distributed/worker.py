@@ -17,9 +17,18 @@ the same per-process warm-platform cache, applies the same per-run
 deadline handling, and produces records byte-identical to an
 in-process serial run — the equivalence the distributed tests pin.
 
+Each ``request`` blocks until the coordinator answers it with a lease
+or ``shutdown``: with no work queued the coordinator parks the request
+and answers it the moment a batch arrives, so an idle worker neither
+polls nor sleeps.  The socket runs with ``TCP_NODELAY``
+(:func:`~repro.distributed.protocol.set_nodelay`) because that
+``request`` follows ``result`` frames the coordinator never answers;
+under Nagle it would wait out the coordinator's delayed ACK.
+
 A background daemon thread heartbeats at the cadence the coordinator
 announced in its welcome frame, so liveness detection keeps working
-while the main thread is deep inside a long simulation.
+while the main thread is deep inside a long simulation or parked on a
+request.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ import argparse
 import os
 import socket
 import threading
-import time
 import typing as _t
 
 from ..core.runspec import (
@@ -85,6 +93,7 @@ def run_worker(
     host, port = parse_endpoint(endpoint)
     worker_name = name or f"worker-{socket.gethostname()}-{os.getpid()}"
     sock = socket.create_connection((host, port))
+    protocol.set_nodelay(sock)
     send_lock = threading.Lock()
     stop = threading.Event()
     beat: _t.Optional[threading.Thread] = None
@@ -120,9 +129,6 @@ def run_worker(
             kind = message["type"]
             if kind == "shutdown":
                 return 0
-            if kind == "idle":
-                time.sleep(max(0.0, float(message["retry_after_s"])))
-                continue
             if kind != "lease":
                 raise protocol.ProtocolError(
                     f"unexpected frame type {kind!r} from coordinator"

@@ -152,8 +152,11 @@ class TestDistributedEquivalence:
         assert stats["records"] == RUNS
         assert stats["dropped_lines"] == 0
         assert canonical_journal(merged) == canonical_journal(serial_journal)
-        # Work actually spread: both workers wrote a shard.
-        assert len(shard_paths_in(shard_dir)) == 2
+        # However the runs were spread, every shard is a valid journal
+        # for the campaign key (the merge opens each against it) and
+        # the shards hold each run exactly once between them.
+        assert stats["shards"] == len(shard_paths_in(shard_dir)) >= 1
+        assert stats["duplicates"] == 0
 
     def test_worker_killed_mid_campaign_stays_equivalent(self, tmp_path):
         """SIGKILL one of four workers mid-batch: the dead lease
@@ -212,7 +215,12 @@ class TestDistributedEquivalence:
 
         runner = threading.Thread(target=campaign_thread)
         runner.start()
-        time.sleep(0.2)  # let the batch be submitted with zero workers
+        # Attach workers only once the batch is queued with none.
+        coordinator = executor.coordinator
+        with coordinator._lock:
+            assert coordinator._lock.wait_for(
+                lambda: coordinator._specs, timeout=60
+            )
         cluster = LocalCluster(executor.endpoint, workers=2)
         try:
             runner.join(timeout=120)
@@ -225,13 +233,15 @@ class TestDistributedEquivalence:
             serial
         )
 
-    def test_elastic_leave_after_max_leases(self):
+    def test_elastic_leave_after_max_leases(self, tmp_path):
         """Workers bowing out cleanly (--max-leases) hand their place
         back without being counted as losses; a late-joining peer
         finishes the batch."""
         serial = run_airbag("serial")
+        telemetry = JsonlTelemetry(str(tmp_path / "telemetry.jsonl"))
         executor = DistributedExecutor(
-            "airbag-normal", workers=2, spawn_local=False, chunk_size=2
+            "airbag-normal", workers=2, spawn_local=False, chunk_size=2,
+            telemetry=telemetry,
         )
         cluster = LocalCluster(
             executor.endpoint, workers=2,
@@ -239,13 +249,17 @@ class TestDistributedEquivalence:
         )
         cluster.add_worker(extra_args=[])  # one unrestricted closer
         try:
-            distributed = run_airbag(executor)
+            distributed = run_airbag(executor, telemetry=telemetry)
         finally:
             executor.close()
             cluster.close()
+            telemetry.close()
         assert canonical_records(distributed) == canonical_records(serial)
-        assert executor.coordinator.workers_joined == 3
         assert executor.workers_lost == 0
+        # Whether or not it joined in time to get one, each restricted
+        # worker ran at most one lease: at most chunk_size runs.
+        for name in ("w0", "w1"):
+            assert telemetry.worker_runs.get(name, 0) <= 2
 
     def test_make_executor_distributed_backend(self):
         serial = run_airbag("serial")
@@ -264,10 +278,18 @@ class TestDistributedEquivalence:
             executor.close()
             telemetry.close()
         assert sum(telemetry.worker_runs.values()) == RUNS
-        assert telemetry.counters["workers_joined"] == 2
+        assert executor.workers_lost == 0
         events = [json.loads(line) for line in stream.read_text().splitlines()]
         kinds = {event["event"] for event in events}
         assert {"worker_join", "worker_result", "campaign_end"} <= kinds
+        # Attribution never precedes registration, however many workers
+        # joined before the queue drained.
+        joined = set()
+        for event in events:
+            if event["event"] == "worker_join":
+                joined.add(event["worker"])
+            elif event["event"] == "worker_result":
+                assert event["worker"] in joined
         end = [e for e in events if e["event"] == "campaign_end"][-1]
         assert sum(end["worker_runs"].values()) == RUNS
 

@@ -1,19 +1,24 @@
 """Wire-protocol unit tests: framing, validation, spec codecs, discovery.
 
-Everything here runs without workers or multicore — a socketpair is
-enough to exercise framing, and the RunSpec/RunOutcome JSON round trip
-is pure data plumbing.
+Everything here runs without multicore — a socketpair is enough to
+exercise framing, and the RunSpec/RunOutcome JSON round trip is pure
+data plumbing.  Only the ``TCP_NODELAY`` check needs a real loopback
+connection between a coordinator and an in-thread worker agent.
 """
 
 import json
 import socket
 import struct
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.runspec import RunSpec
 from repro.core.scenario import ErrorScenario, PlannedInjection
 from repro.distributed import (
+    Coordinator,
     DEFAULT_ENDPOINT_FILE,
     ENDPOINT_ENV,
     DiscoveryError,
@@ -28,6 +33,7 @@ from repro.distributed import (
     write_endpoint,
 )
 from repro.distributed import protocol
+from repro.distributed.worker import run_worker
 from repro.faults import SRAM_SEU
 
 
@@ -62,13 +68,13 @@ class TestFraming:
         assert message["name"] == "w0"
 
     def test_frames_are_inspectable_json(self):
-        frame = protocol.encode_frame(protocol.idle(0.25))
+        frame = protocol.encode_frame(protocol.welcome(0.25))
         (length,) = struct.unpack(">I", frame[:4])
         assert length == len(frame) - 4
-        assert json.loads(frame[4:].decode("utf-8")) == {
-            "retry_after_s": 0.25,
-            "type": "idle",
-        }
+        assert frame[4:] == (
+            b'{"heartbeat_s":0.25,"type":"welcome","version":%d}'
+            % PROTOCOL_VERSION
+        )
 
     def test_eof_raises_peer_gone(self):
         left, right = socket.socketpair()
@@ -96,6 +102,152 @@ class TestFraming:
     def test_untyped_payload_rejected(self):
         with pytest.raises(ProtocolError, match="typed"):
             protocol.decode_payload(b'{"no_type": 1}')
+
+
+def feed(data):
+    """``recv_frame`` on a stream carrying exactly *data*, then EOF."""
+    left, right = socket.socketpair()
+    try:
+        left.sendall(data)
+        left.shutdown(socket.SHUT_WR)
+        return recv_frame(right)
+    finally:
+        left.close()
+        right.close()
+
+
+def length_prefixed(payload):
+    return struct.pack(">I", len(payload)) + payload
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=16)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestFrameFuzz:
+    """Whatever bytes arrive, the decoder the coordinator trusts either
+    returns a typed message or raises ``ProtocolError`` / ``PeerGone``
+    — never anything its connection handler does not catch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=256))
+    def test_arbitrary_stream(self, data):
+        try:
+            message = feed(data)
+        except (ProtocolError, PeerGone):
+            return
+        assert isinstance(message, dict) and "type" in message
+
+    @settings(deadline=None)
+    @given(st.binary(max_size=3))
+    def test_truncated_header(self, data):
+        with pytest.raises(PeerGone):
+            feed(data)
+
+    @settings(deadline=None)
+    @given(st.binary(min_size=1, max_size=256), st.data())
+    def test_truncated_body(self, payload, data):
+        cut = data.draw(st.integers(0, len(payload) - 1))
+        with pytest.raises(PeerGone):
+            feed(length_prefixed(payload)[:4 + cut])
+
+    @settings(deadline=None)
+    @given(
+        st.integers(MAX_FRAME_BYTES + 1, 2 ** 32 - 1),
+        st.binary(max_size=64),
+    )
+    def test_oversize_length(self, length, tail):
+        with pytest.raises(ProtocolError, match="cap"):
+            feed(struct.pack(">I", length) + tail)
+
+    @settings(deadline=None)
+    @given(st.binary(max_size=64), st.binary(max_size=64))
+    def test_non_utf8(self, head, tail):
+        # 0xFF never occurs in UTF-8.
+        with pytest.raises(ProtocolError, match="undecodable"):
+            feed(length_prefixed(head + b"\xff" + tail))
+
+    @settings(deadline=None)
+    @given(st.text(max_size=64))
+    def test_non_json(self, text):
+        # No JSON document ends inside an unclosed object.
+        with pytest.raises(ProtocolError, match="undecodable"):
+            feed(length_prefixed((text + "{").encode("utf-8")))
+
+    @settings(deadline=None)
+    @given(st.integers(2_000, 200_000))
+    def test_deep_nesting(self, depth):
+        with pytest.raises(ProtocolError, match="undecodable"):
+            protocol.decode_payload(b"[" * depth)
+
+    @settings(deadline=None)
+    @given(JSON_VALUES.filter(
+        lambda value: not (isinstance(value, dict) and "type" in value)
+    ))
+    def test_non_message_json(self, value):
+        with pytest.raises(ProtocolError, match="typed"):
+            feed(length_prefixed(json.dumps(value).encode("utf-8")))
+
+    @settings(deadline=None)
+    @given(st.one_of(JSON_SCALARS, st.lists(st.integers(), max_size=2))
+           .filter(lambda version: version != PROTOCOL_VERSION))
+    def test_wrong_version_hello(self, version):
+        message = protocol.hello("w")
+        message["version"] = version
+        with pytest.raises(ProtocolError, match="version"):
+            protocol.check_hello(feed(protocol.encode_frame(message)))
+
+
+class TestNoDelay:
+    def test_set_on_both_ends_of_a_real_connection(self, monkeypatch):
+        worker_socks = []
+        connect = socket.create_connection
+
+        def capture(*args, **kwargs):
+            sock = connect(*args, **kwargs)
+            worker_socks.append(sock)
+            return sock
+
+        monkeypatch.setattr(socket, "create_connection", capture)
+        coordinator = Coordinator()
+        agent = threading.Thread(
+            target=run_worker, args=(coordinator.endpoint,),
+            kwargs={"name": "w0"},
+        )
+        agent.start()
+        try:
+            with coordinator._lock:
+                assert coordinator._lock.wait_for(
+                    lambda: "w0" in coordinator._workers, timeout=30
+                )
+                server_side = coordinator._workers["w0"].sock
+            for sock in (server_side, worker_socks[0]):
+                assert sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+        finally:
+            coordinator.close()
+            agent.join(timeout=30)
+        assert not agent.is_alive()
+
+    def test_noop_on_a_unix_socketpair(self):
+        left, right = socket.socketpair()
+        try:
+            protocol.set_nodelay(left)
+            protocol.set_nodelay(right)
+            send_frame(left, protocol.request())
+            assert recv_frame(right) == {"type": "request"}
+        finally:
+            left.close()
+            right.close()
 
 
 class TestHelloValidation:
