@@ -125,4 +125,9 @@ class FaultDescriptor:
         return dataclasses.replace(self, params=params)
 
     def with_rate(self, rate_per_hour: float) -> "FaultDescriptor":
-        return dataclasses.replace(self, rate_per_hour=rate_per_hour)
+        # The constructor directly, not dataclasses.replace: the Fig. 2
+        # derivation calls this once per descriptor per sampled profile.
+        return FaultDescriptor(
+            self.name, self.kind, self.persistence, self.duration,
+            self.params, rate_per_hour,
+        )

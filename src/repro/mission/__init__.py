@@ -3,6 +3,7 @@
 from .derivation import (
     STRESS_SENSITIVITY,
     StateWeight,
+    StressorDerivation,
     StressorSpec,
     derive_descriptors,
     derive_stressor_spec,
@@ -30,6 +31,7 @@ from .rates import (
 __all__ = [
     "STRESS_SENSITIVITY",
     "StateWeight",
+    "StressorDerivation",
     "StressorSpec",
     "derive_descriptors",
     "derive_stressor_spec",

@@ -39,30 +39,11 @@ STRESS_SENSITIVITY: _t.Dict[FaultKind, _t.Tuple[str, ...]] = {
     FaultKind.MESSAGE_MASQUERADE: ("emi",),
     FaultKind.EXECUTION_OVERHEAD: ("temperature",),
     FaultKind.TASK_KILL: ("temperature",),
+    # Runaway-firmware modes are design faults, not wear-out: no
+    # environmental stress accelerates them, so their base rate passes
+    # through the derivation unscaled.
+    FaultKind.BEHAVIOR_MODE: (),
 }
-
-
-def derive_descriptors(
-    profile: MissionProfile,
-    catalog: _t.Sequence[FaultDescriptor],
-) -> _t.List[FaultDescriptor]:
-    """Rescale every catalog descriptor's rate for *profile*.
-
-    A fault kind sensitive to several stresses gets the product of the
-    involved acceleration factors (independent mechanisms).
-    """
-    factors = rates.mission_scaling_factors(
-        profile.temperature, profile.vibration, profile.emi
-    )
-    derived: _t.List[FaultDescriptor] = []
-    for descriptor in catalog:
-        factor = 1.0
-        for stress in STRESS_SENSITIVITY[descriptor.kind]:
-            factor *= factors[stress]
-        derived.append(
-            descriptor.with_rate(descriptor.rate_per_hour * factor)
-        )
-    return derived
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,6 +89,86 @@ class StressorSpec:
         return rates.expected_events(self.total_rate_per_hour, hours)
 
 
+class StressorDerivation:
+    """The Fig. 2 derivation of one catalog, prepared once.
+
+    Holds each catalog descriptor with its :data:`STRESS_SENSITIVITY`
+    entry, already filtered to ``target_kinds`` (the injection-point
+    kinds actually present in the platform under test — a profile for
+    a sensor ECU should not emit CAN faults if the DUT has no bus), so
+    deriving for one more profile is a single rescale loop.  A planner
+    that derives per sampled profile builds one and reuses it;
+    :func:`derive_descriptors` and :func:`derive_stressor_spec` are its
+    one-profile case.
+    """
+
+    def __init__(
+        self,
+        catalog: _t.Sequence[FaultDescriptor],
+        target_kinds: _t.Optional[_t.Iterable[str]] = None,
+    ):
+        kinds = None if target_kinds is None else set(target_kinds)
+        self._entries = [
+            (descriptor, STRESS_SENSITIVITY[descriptor.kind])
+            for descriptor in catalog
+            if kinds is None
+            or any(descriptor.applicable_to(k) for k in kinds)
+        ]
+
+    def descriptors(
+        self, profile: MissionProfile
+    ) -> _t.List[FaultDescriptor]:
+        """Rescale every prepared descriptor's rate for *profile*.
+
+        A fault kind sensitive to several stresses gets the product of
+        the involved acceleration factors (independent mechanisms).
+        """
+        factors = rates.mission_scaling_factors(
+            profile.temperature, profile.vibration, profile.emi
+        )
+        derived: _t.List[FaultDescriptor] = []
+        for descriptor, stresses in self._entries:
+            factor = 1.0
+            for stress in stresses:
+                factor *= factors[stress]
+            derived.append(
+                descriptor.with_rate(descriptor.rate_per_hour * factor)
+            )
+        return derived
+
+    def stressor_spec(
+        self, profile: MissionProfile, special_boost: float = 10.0
+    ) -> StressorSpec:
+        """Profile -> stressor configuration over the prepared catalog."""
+        if special_boost < 1.0:
+            raise ValueError("special_boost must be >= 1")
+        states = profile.states
+        weights = [
+            state.fraction * (special_boost if state.special else 1.0)
+            for state in states
+        ]
+        total = sum(weights)
+        if total > 0:
+            weights = [weight / total for weight in weights]
+        return StressorSpec(
+            profile_name=profile.name,
+            descriptors=self.descriptors(profile),
+            state_weights=[
+                StateWeight(state, weight)
+                for state, weight in zip(states, weights)
+            ],
+            special_boost=special_boost,
+        )
+
+
+def derive_descriptors(
+    profile: MissionProfile,
+    catalog: _t.Sequence[FaultDescriptor],
+) -> _t.List[FaultDescriptor]:
+    """Rescale every catalog descriptor's rate for *profile*."""
+    return StressorDerivation(catalog).descriptors(profile)
+
+
 def derive_stressor_spec(
     profile: MissionProfile,
     catalog: _t.Sequence[FaultDescriptor],
@@ -117,30 +178,8 @@ def derive_stressor_spec(
     """Fig. 2 end-to-end: profile + catalog -> stressor configuration.
 
     ``target_kinds`` filters the catalog to the injection-point kinds
-    actually present in the platform under test (a profile for a
-    sensor ECU should not emit CAN faults if the DUT has no bus).
+    actually present in the platform under test.
     """
-    if special_boost < 1.0:
-        raise ValueError("special_boost must be >= 1")
-    descriptors = derive_descriptors(profile, catalog)
-    if target_kinds is not None:
-        kinds = set(target_kinds)
-        descriptors = [
-            d for d in descriptors
-            if any(d.applicable_to(k) for k in kinds)
-        ]
-    weights = []
-    for state in profile.states:
-        weight = state.fraction * (special_boost if state.special else 1.0)
-        weights.append(StateWeight(state, weight))
-    total = sum(w.weight for w in weights)
-    if total > 0:
-        weights = [
-            StateWeight(w.state, w.weight / total) for w in weights
-        ]
-    return StressorSpec(
-        profile_name=profile.name,
-        descriptors=descriptors,
-        state_weights=weights,
-        special_boost=special_boost,
+    return StressorDerivation(catalog, target_kinds).stressor_spec(
+        profile, special_boost
     )

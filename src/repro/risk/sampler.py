@@ -31,6 +31,13 @@ All randomness flows through one explicitly seeded pair — a
 for the vectorized normal draws — so sampled campaigns stay
 checkpoint-resumable and byte-reproducible: the same seed yields the
 same trajectory stream on every backend and every restart.
+
+Trajectories are drawn a batch at a time
+(:meth:`StressSampler.iter_draws`): one block of normals for the whole
+batch, then each sample finished on Python floats as its consumer
+reaches it.  A batch of *n* is bit-identical to *n* one-sample
+:meth:`~StressSampler.draw` calls, however the stream is cut into
+batches.
 """
 
 from __future__ import annotations
@@ -42,7 +49,12 @@ import typing as _t
 
 import numpy as np
 
-from ..mission import MissionProfile
+from ..mission import (
+    EmiProfile,
+    MissionProfile,
+    TemperatureProfile,
+    VibrationProfile,
+)
 from ..mission.rates import probability_of_at_least_one
 
 #: The four stress channels of a trajectory, in draw order.
@@ -255,16 +267,15 @@ class SampledEnvironment:
         rms = math.sqrt(
             sum(g * g for g in self.vibration_grms) / self.segments
         )
-        return dataclasses.replace(
-            base,
+        return MissionProfile(
             name=f"{base.name}/sample{self.index}",
-            temperature=dataclasses.replace(
-                base.temperature, histogram=histogram
-            ),
-            vibration=dataclasses.replace(base.vibration, grms=rms),
-            emi=dataclasses.replace(
-                base.emi, field_v_per_m=max(self.emi_v_per_m)
-            ),
+            level=base.level,
+            lifetime_hours=base.lifetime_hours,
+            operating_hours=base.operating_hours,
+            temperature=TemperatureProfile(histogram),
+            vibration=VibrationProfile(rms),
+            emi=EmiProfile(max(self.emi_v_per_m)),
+            states=base.states,
         )
 
     def to_jsonable(self) -> _t.Dict[str, _t.Any]:
@@ -371,6 +382,12 @@ class StressSampler:
         )
         if self.hours_per_sample < 0:
             raise ValueError("negative exposure hours")
+        self._event_probabilities = tuple(
+            probability_of_at_least_one(
+                event.rate_per_hour, self.hours_per_sample
+            )
+            for event in self.events
+        )
         self.rng = _resolve_rng(seed, rng)
         # The vectorized normal stream derives from the discrete one,
         # so a single (seed | rng) argument pins both.
@@ -383,60 +400,90 @@ class StressSampler:
         )
         self._drawn = 0
 
-    # -- one trajectory -----------------------------------------------------
+    # -- trajectories -------------------------------------------------------
 
-    def _correlated_normals(self) -> np.ndarray:
-        """``(segments, channels)`` AR(1)-persistent correlated draws."""
+    def iter_draws(self, count: int) -> _t.Iterator[SampledEnvironment]:
+        """The next *count* trajectories of the seeded stream.
+
+        All ``count`` blocks of correlated normals come from one
+        ``standard_normal`` call, one stacked Cholesky product (each
+        sample keeps its own ``(segments, 4) @ (4, 4)`` product, so the
+        rounding is that of a one-sample draw), one AR(1) pass over the
+        segments and one ``tolist`` per channel.  Each sample is then
+        finished — ``math.erf``/``math.exp`` marginals and black-swan
+        rolls on :attr:`rng` — only when the consumer reaches it, so a
+        planner sharing :attr:`rng` sees its own draws interleaved
+        exactly as with one :meth:`draw` per sample.  A batch of *n* is
+        therefore bit-identical to *n* one-sample calls as long as each
+        iterator is consumed before the next draw starts; abandoning one
+        early still consumes its whole block of normals.
+        """
+        if count <= 0:
+            return
         white = self._normals.standard_normal(
-            (self.segments, len(CHANNELS))
+            (count, self.segments, len(CHANNELS))
         )
         correlated = white @ self._cholesky.T
         if self.persistence > 0.0 and self.segments > 1:
             carry = math.sqrt(1.0 - self.persistence**2)
             for t in range(1, self.segments):
-                correlated[t] = (
-                    self.persistence * correlated[t - 1]
-                    + carry * correlated[t]
+                correlated[:, t] = (
+                    self.persistence * correlated[:, t - 1]
+                    + carry * correlated[:, t]
                 )
-        return correlated
-
-    def _occurring_events(self) -> _t.List[BlackSwanEvent]:
-        occurred = []
-        for event in self.events:
-            probability = probability_of_at_least_one(
-                event.rate_per_hour, self.hours_per_sample
-            )
-            if self.rng.random() < probability:
-                occurred.append(event)
-        return occurred
-
-    def draw(self) -> SampledEnvironment:
-        """Draw the next trajectory in the seeded stream."""
-        z = self._correlated_normals()
+        # Per channel, the argument of its scalar erf or exp: the normal
+        # CDF's z / sqrt(2), then the log-normal exponents.  These affine
+        # steps are single IEEE operations, so numpy rounds them as
+        # Python floats would; erf and exp stay math calls, since np.exp
+        # may differ in the last ulp.  Flat lists sliced per sample, not
+        # one nested list per sample: a garbage collection that runs
+        # mid-batch then has no block of per-sample lists to promote.
         sigma_vib, sigma_emi, sigma_load = self.sigma
+        erf_args = (correlated[..., 0] / math.sqrt(2.0)).ravel().tolist()
+        vibration_exps = (
+            sigma_vib * correlated[..., 1] - sigma_vib**2 / 2
+        ).ravel().tolist()
+        emi_exps = (
+            sigma_emi * correlated[..., 2] - sigma_emi**2 / 2
+        ).ravel().tolist()
+        load_exps = (
+            sigma_load * correlated[..., 3] - sigma_load**2 / 2
+        ).ravel().tolist()
+        for start in range(0, count * self.segments, self.segments):
+            stop = start + self.segments
+            yield self._finish(
+                erf_args[start:stop], vibration_exps[start:stop],
+                emi_exps[start:stop], load_exps[start:stop],
+            )
+
+    def _finish(
+        self,
+        erf_args: _t.List[float],
+        vibration_exps: _t.List[float],
+        emi_exps: _t.List[float],
+        load_exps: _t.List[float],
+    ) -> SampledEnvironment:
+        """One trajectory from its per-channel erf / exp arguments."""
         # Normal quantile -> histogram inverse CDF keeps temperature
         # inside the profile's support; the multiplicative channels are
         # mean-preserving log-normals around the profile values.
+        inverse_cdf = self._inverse_cdf
+        grms = self.profile.vibration.grms
+        field = self.profile.emi.field_v_per_m
         temperature = [
-            self._inverse_cdf(_standard_normal_cdf(z[t, 0]))
-            for t in range(self.segments)
+            inverse_cdf(0.5 * (1.0 + math.erf(x))) for x in erf_args
         ]
-        vibration = [
-            self.profile.vibration.grms
-            * math.exp(sigma_vib * z[t, 1] - sigma_vib**2 / 2)
-            for t in range(self.segments)
-        ]
-        emi = [
-            self.profile.emi.field_v_per_m
-            * math.exp(sigma_emi * z[t, 2] - sigma_emi**2 / 2)
-            for t in range(self.segments)
-        ]
-        load = [
-            math.exp(sigma_load * z[t, 3] - sigma_load**2 / 2)
-            for t in range(self.segments)
-        ]
+        vibration = [grms * math.exp(x) for x in vibration_exps]
+        emi = [field * math.exp(x) for x in emi_exps]
+        load = [math.exp(x) for x in load_exps]
 
-        occurred = self._occurring_events()
+        occurred = [
+            event
+            for event, probability in zip(
+                self.events, self._event_probabilities
+            )
+            if self.rng.random() < probability
+        ]
         for event in occurred:
             span = max(1, round(event.span_fraction * self.segments))
             start = self.rng.randrange(max(1, self.segments - span + 1))
@@ -458,9 +505,10 @@ class StressSampler:
         self._drawn += 1
         return environment
 
+    def draw(self) -> SampledEnvironment:
+        """Draw the next trajectory in the seeded stream."""
+        return next(self.iter_draws(1))
+
     def draw_many(self, count: int) -> _t.List[SampledEnvironment]:
-        return [self.draw() for _ in range(count)]
-
-
-def _standard_normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+        """The next *count* trajectories (none for ``count <= 0``)."""
+        return list(self.iter_draws(count))

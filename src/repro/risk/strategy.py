@@ -9,7 +9,7 @@ machinery *unchanged*.  Per scenario it:
    its :class:`~repro.risk.sampler.StressSampler`;
 2. folds the trajectory into an effective
    :class:`~repro.mission.MissionProfile` and re-runs the Fig. 2
-   derivation (:func:`~repro.mission.derive_stressor_spec`) on it — so
+   derivation (:class:`~repro.mission.StressorDerivation`) on it — so
    a hot, noisy sample really does tilt the fault mix toward
    temperature- and EMI-accelerated descriptors, per sample;
 3. picks descriptors by the sample's derived rate shares, an operating
@@ -18,8 +18,17 @@ machinery *unchanged*.  Per scenario it:
    space (optionally pinned to one instant so whole batches share a
    snapshot-fork group).
 
+Planning is per campaign batch: :meth:`~SampledScenarioStrategy.next_batch`
+plans the whole batch from one block of sampler draws
+(:meth:`~repro.risk.sampler.StressSampler.iter_draws`) and one
+prepared derivation (:class:`~repro.mission.StressorDerivation`).  A
+batch of *n* equals *n* calls of
+:meth:`~SampledScenarioStrategy.next_scenario` — the same scenarios,
+samples and specs, and the same draws from the campaign rng, in the
+same order.
+
 Determinism contract: scenario content is a pure function of the
-sampler's seed and the campaign rng handed to :meth:`next_scenario`.
+sampler's seed and the campaign rng handed to :meth:`next_batch`.
 Planning happens only in the planner process, so serial, parallel, and
 fork backends see the identical scenario stream, and a checkpoint
 resume — which replans with a freshly constructed strategy under the
@@ -34,7 +43,7 @@ import typing as _t
 from ..core.scenario import ErrorScenario, FaultSpace, PlannedInjection
 from ..core.strategies import Strategy
 from ..faults import FaultDescriptor
-from ..mission import StressorSpec, derive_stressor_spec
+from ..mission import StressorDerivation, StressorSpec
 from .sampler import SampledEnvironment, StressSampler
 
 
@@ -91,6 +100,9 @@ class SampledScenarioStrategy(Strategy):
         self._target_kinds = sorted(
             {point.kind for point in space.points.values()}
         )
+        self._derivation = StressorDerivation(
+            self.catalog, self._target_kinds
+        )
         # descriptor name -> applicable (path, descriptor) pairs.
         self._pairs_by_name: _t.Dict[str, _t.List] = {}
         for pair in space.pairs:
@@ -100,11 +112,8 @@ class SampledScenarioStrategy(Strategy):
 
     def _derive(self, sample: SampledEnvironment) -> StressorSpec:
         boost = max(1.0, self.special_boost * sample.mean_load)
-        return derive_stressor_spec(
-            sample.effective_profile(self.sampler.profile),
-            self.catalog,
-            target_kinds=self._target_kinds,
-            special_boost=boost,
+        return self._derivation.stressor_spec(
+            sample.effective_profile(self.sampler.profile), boost
         )
 
     def _draw_injections(
@@ -155,17 +164,30 @@ class SampledScenarioStrategy(Strategy):
 
     # -- Strategy API -------------------------------------------------------
 
+    def next_batch(
+        self, rng: random.Random, count: int
+    ) -> _t.List[ErrorScenario]:
+        """Plan *count* scenarios from one block of sampler draws.
+
+        Per sample, in order: derive its spec, then draw its operating
+        state and injections from *rng* — the same draws, in the same
+        order, as *count* calls of :meth:`next_scenario`.
+        """
+        scenarios = []
+        for sample in self.sampler.iter_draws(count):
+            self.scenario_count += 1
+            spec = self._derive(sample)
+            self.samples.append(sample)
+            self.specs.append(spec)
+            state, weight = self._draw_sample_state(rng, spec)
+            suffix = "+".join(sample.events) if sample.events else "nominal"
+            scenarios.append(ErrorScenario(
+                name=f"risk-{sample.index}-{suffix}",
+                injections=self._draw_injections(rng, spec),
+                operating_state=state,
+                sampling_weight=weight,
+            ))
+        return scenarios
+
     def next_scenario(self, rng: random.Random) -> ErrorScenario:
-        self.scenario_count += 1
-        sample = self.sampler.draw()
-        spec = self._derive(sample)
-        self.samples.append(sample)
-        self.specs.append(spec)
-        state, weight = self._draw_sample_state(rng, spec)
-        suffix = "+".join(sample.events) if sample.events else "nominal"
-        return ErrorScenario(
-            name=f"risk-{sample.index}-{suffix}",
-            injections=self._draw_injections(rng, spec),
-            operating_state=state,
-            sampling_weight=weight,
-        )
+        return self.next_batch(rng, 1)[0]

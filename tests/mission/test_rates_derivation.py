@@ -9,7 +9,10 @@ from repro.faults import (
     STANDARD_CATALOG,
 )
 from repro.mission import (
+    STRESS_SENSITIVITY,
     EmiProfile,
+    ProfileTransfer,
+    StressorDerivation,
     TemperatureProfile,
     VibrationProfile,
     arrhenius_factor,
@@ -119,6 +122,51 @@ class TestDerivation:
         profile = standard_passenger_car_profile()
         assert len(derive_descriptors(profile, STANDARD_CATALOG)) == len(
             STANDARD_CATALOG
+        )
+
+    def test_every_fault_kind_has_a_sensitivity(self):
+        assert set(STRESS_SENSITIVITY) == set(FaultKind)
+
+    def test_behavior_modes_pass_through_unscaled(self):
+        from repro.platforms import hostile
+
+        livelock = hostile.LIVELOCK.with_rate(2e-6)
+        hot = standard_passenger_car_profile().refine(
+            ProfileTransfer("ecu", temperature_rise_c=30.0)
+        )
+        catalog = [livelock, hostile.RAISE, hostile.CRASH, SRAM_SEU]
+        derived = {d.name: d for d in derive_descriptors(hot, catalog)}
+        assert derived[livelock.name].rate_per_hour == 2e-6
+        assert derived[hostile.CRASH.name].rate_per_hour == 0.0
+        # Filtered out by the target kinds, they still must not fail.
+        spec = derive_stressor_spec(hot, catalog, target_kinds=["memory"])
+        assert [d.name for d in spec.descriptors] == [SRAM_SEU.name]
+
+
+class TestStressorDerivation:
+    def test_one_derivation_serves_many_profiles(self):
+        # Prepared once, reused: no state carries from one profile's
+        # derivation into the next.
+        oem = standard_passenger_car_profile()
+        profiles = [
+            oem,
+            oem.refine(ProfileTransfer(
+                "ecu", temperature_rise_c=20.0,
+                vibration_amplification=2.0, emi_shielding=0.3,
+            )),
+        ]
+        kinds = ["analog", "can_wire"]
+        derivation = StressorDerivation(STANDARD_CATALOG, kinds)
+        for profile in profiles:
+            for boost in (1.0, 4.0):
+                assert derivation.stressor_spec(profile, boost) == (
+                    derive_stressor_spec(
+                        profile, STANDARD_CATALOG,
+                        target_kinds=kinds, special_boost=boost,
+                    )
+                )
+        assert StressorDerivation(STANDARD_CATALOG).descriptors(oem) == (
+            derive_descriptors(oem, STANDARD_CATALOG)
         )
 
 

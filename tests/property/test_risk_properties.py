@@ -5,6 +5,8 @@
   correlation / persistence / segment configuration;
 * correlation-matrix validation rejects every non-PSD input with a
   clear error and accepts every generated PSD one;
+* a batch of n draws or scenarios equals n one-sample calls exactly,
+  wherever the stream is cut into batches;
 * same-seed sampled campaigns journal byte-identically and produce the
   same ``RiskReport.canonical()`` across serial, parallel, and
   snapshot-fork executors.
@@ -13,6 +15,7 @@
 import json
 import os
 import pathlib
+import random
 import tempfile
 
 import numpy as np
@@ -23,6 +26,7 @@ from repro.faults import SRAM_SEU
 from repro.kernel import Simulator, simtime
 from repro.mission import standard_passenger_car_profile
 from repro.risk import (
+    BlackSwanEvent,
     CorrelationError,
     CorrelationMatrix,
     RiskReport,
@@ -140,6 +144,95 @@ class TestMarginalSupport:
 
 
 # ---------------------------------------------------------------------------
+# Batch shape: any cut of the stream into batches is the same stream.
+# ---------------------------------------------------------------------------
+
+def _space():
+    from repro.platforms import airbag
+
+    return FaultSpace(
+        airbag.build_normal_operation(Simulator()),
+        [SRAM_SEU.with_rate(5e-7), STUCK_HIGH],
+        window_start=simtime.ms(5),
+        window_end=simtime.ms(30),
+        time_bins=2,
+    )
+
+
+#: A near-certain and an even-odds overlay, so every batch rolls,
+#: places and applies black swans.
+OVERLAYS = (
+    BlackSwanEvent(
+        "storm", rate_per_hour=1e-3, emi_factor=6.0, span_fraction=0.4
+    ),
+    BlackSwanEvent(
+        "freeze", rate_per_hour=1e-4, temperature_delta_c=-35.0,
+        load_factor=1.3, span_fraction=1.0,
+    ),
+)
+
+
+def batch_cuts(max_batches):
+    """Batch sizes, empty ones included, for one stream."""
+    return st.lists(st.integers(0, 8), min_size=1, max_size=max_batches)
+
+
+class TestBatchShape:
+    @given(sampler_configs(), st.booleans(), batch_cuts(5))
+    @settings(max_examples=25, deadline=None)
+    def test_draw_batches_equal_single_draws(self, config, swans, cut):
+        seed, segments, persistence, correlation = config
+
+        def sampler():
+            return StressSampler(
+                standard_passenger_car_profile(),
+                correlation=correlation, segments=segments,
+                persistence=persistence, seed=seed,
+                events=OVERLAYS if swans else (),
+            )
+
+        batched, single = sampler(), sampler()
+        drawn = []
+        for size in cut:
+            drawn += batched.draw_many(size)
+        assert drawn == [single.draw() for _ in range(sum(cut))]
+        assert batched.rng.getstate() == single.rng.getstate()
+        assert batched.draw() == single.draw()
+
+    @given(
+        st.integers(0, 2**16), st.booleans(), st.integers(1, 2),
+        batch_cuts(3),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_scenario_batches_equal_single_scenarios(
+        self, seed, shared, faults, cut
+    ):
+        space = _space()
+
+        def plan(batched):
+            rng = random.Random(seed)
+            profile = standard_passenger_car_profile()
+            sampler = (
+                StressSampler(profile, rng=rng, events=OVERLAYS) if shared
+                else StressSampler(profile, seed=seed + 1, events=OVERLAYS)
+            )
+            strategy = SampledScenarioStrategy(
+                space, sampler, faults_per_scenario=faults
+            )
+            scenarios = []
+            for size in cut:
+                if batched:
+                    scenarios += strategy.next_batch(rng, size)
+                else:
+                    scenarios += [
+                        strategy.next_scenario(rng) for _ in range(size)
+                    ]
+            return scenarios, strategy.samples, strategy.specs, rng.random()
+
+        assert plan(True) == plan(False)
+
+
+# ---------------------------------------------------------------------------
 # Same-seed campaigns: byte-identical journals and canonical reports
 # across serial / parallel / fork execution.
 # ---------------------------------------------------------------------------
@@ -149,18 +242,8 @@ PIN = simtime.ms(50)
 
 def _run(seed, backend, fork, checkpoint):
     profile = standard_passenger_car_profile()
-    probe = Simulator()
-    from repro.platforms import airbag
-
-    space = FaultSpace(
-        airbag.build_normal_operation(probe),
-        [SRAM_SEU.with_rate(5e-7), STUCK_HIGH],
-        window_start=simtime.ms(5),
-        window_end=simtime.ms(30),
-        time_bins=2,
-    )
     strategy = SampledScenarioStrategy(
-        space, StressSampler(profile, seed=seed), injection_time=PIN
+        _space(), StressSampler(profile, seed=seed), injection_time=PIN
     )
     campaign = Campaign(
         duration=DURATION, seed=seed + 1, platform="airbag-normal"
