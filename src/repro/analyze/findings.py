@@ -10,8 +10,8 @@ sanitizers"):
   instance must carry a pragma explaining itself.
 * ``warning`` — a *robustness* contract gap: the construct is correct
   today but forfeits a guarantee the rest of the system relies on
-  (e.g. a platform registered without a warm-reset hook silently pays
-  fresh elaboration for every run).
+  (e.g. a platform registered without capture/restore hooks silently
+  pays fresh elaboration for every run).
 
 Both levels fail the CLI by default; ``--min-severity error`` relaxes
 that for exploratory sweeps.

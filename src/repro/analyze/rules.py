@@ -471,60 +471,23 @@ class UnpicklableRunSpecPayload(Rule):
 
 
 @rule
-class UnresettableRegistration(Rule):
-    """A platform registered without a ``reset`` hook is rebuilt from
-    scratch for every run — correct, but it silently forfeits warm
-    reuse.  Declare the choice: provide the hook, or pragma the
-    registration with the reason it must stay fresh-build."""
+class UncapturedRegistration(Rule):
+    """A platform registered without ``capture_state``/``restore_state``
+    hooks is rebuilt from scratch for every run — correct, but it
+    silently forfeits warm reuse and snapshot-fork execution, which
+    both restore a captured state.  Declare the choice: provide the
+    hooks, or pragma the registration with the reason it must stay
+    fresh-build.  A ``reset=`` hook does not count; nothing reads it."""
 
     code = "VP009"
-    name = "unresettable-registration"
+    name = "uncaptured-registration"
     severity = WARNING
     summary = (
-        "register_platform(...) without a reset= hook; platform "
-        "silently forfeits warm reuse"
+        "register_platform(...) without capture_state=; platform "
+        "silently forfeits warm reuse and snapshot-fork execution"
     )
 
-    #: reset is the 7th positional parameter of register_platform.
-    _RESET_POSITION = 7
-
-    def check_node(self, node, ctx):
-        if not isinstance(node, ast.Call):
-            return
-        if _call_name(node) != "register_platform":
-            return
-        if len(node.args) >= self._RESET_POSITION:
-            return
-        if any(kw.arg == "reset" for kw in node.keywords):
-            return
-        yield self.finding(
-            node, ctx,
-            "register_platform(...) without reset= — the platform is "
-            "rebuilt for every run; add a warm-reset hook restoring "
-            "module state, or pragma this line with why it must stay "
-            "fresh-build",
-        )
-
-
-@rule
-class ForklessWarmRegistration(Rule):
-    """A platform registered with a ``reset`` hook but no
-    ``capture_state``/``restore_state`` pair supports warm reuse but
-    not snapshot-fork execution: every fork-enabled campaign silently
-    falls back to per-run simulation for it.  A module whose state a
-    ``reset`` hook can rebuild can almost always be deep-captured too
-    — declare the choice either way."""
-
-    code = "VP011"
-    name = "forkless-warm-registration"
-    severity = WARNING
-    summary = (
-        "register_platform(...) with reset= but no capture_state=; "
-        "platform silently forfeits snapshot-fork execution"
-    )
-
-    #: capture_state is the 8th positional parameter of
-    #: register_platform (after reset).
+    #: capture_state is the 8th positional parameter of register_platform.
     _CAPTURE_POSITION = 8
 
     def check_node(self, node, ctx):
@@ -532,25 +495,17 @@ class ForklessWarmRegistration(Rule):
             return
         if _call_name(node) != "register_platform":
             return
-        has_reset = (
-            len(node.args) >= UnresettableRegistration._RESET_POSITION
-            or any(kw.arg == "reset" for kw in node.keywords)
-        )
-        if not has_reset:
+        if len(node.args) >= self._CAPTURE_POSITION:
             return
-        has_capture = (
-            len(node.args) >= self._CAPTURE_POSITION
-            or any(kw.arg == "capture_state" for kw in node.keywords)
-        )
-        if has_capture:
+        if any(kw.arg == "capture_state" for kw in node.keywords):
             return
         yield self.finding(
             node, ctx,
-            "register_platform(...) declares reset= but no "
-            "capture_state=/restore_state= — fork-enabled campaigns "
-            "silently fall back to per-run simulation; add snapshot "
-            "hooks, or pragma this line with why mid-run capture is "
-            "unsupported",
+            "register_platform(...) without capture_state= — the "
+            "platform is rebuilt for every run and never forks; add "
+            "capture_state=/restore_state= hooks covering its module "
+            "state, or pragma this line with why it must stay "
+            "fresh-build",
         )
 
 

@@ -304,7 +304,6 @@ class Campaign:
     ):
         if duration <= 0:
             raise ValueError("campaign run duration must be positive")
-        reset: _t.Optional[_t.Callable] = None
         capture_state: _t.Optional[_t.Callable] = None
         restore_state: _t.Optional[_t.Callable] = None
         if platform is not None:
@@ -312,11 +311,9 @@ class Campaign:
 
             bundle = registry.get_platform(platform)
             if platform_factory is None:
-                # The warm-reuse reset hook belongs to the bundle's own
-                # factory; a caller-supplied factory may build something
-                # the hook does not know how to restore.  Same for the
-                # snapshot-fork hooks.
-                reset = bundle.reset
+                # The state hooks belong to the bundle's own factory; a
+                # caller-supplied factory may build something they do
+                # not know how to capture or restore.
                 capture_state = bundle.capture_state
                 restore_state = bundle.restore_state
             platform_factory = platform_factory or bundle.factory
@@ -330,7 +327,6 @@ class Campaign:
         self.platform_factory = platform_factory
         self.observe = observe
         self.classifier = classifier
-        self.reset = reset
         self.capture_state = capture_state
         self.restore_state = restore_state
         self.duration = duration
@@ -532,10 +528,12 @@ class Campaign:
         clock, host-specific, and outside every determinism contract.
 
         ``reuse_platform`` (default True) lets each worker keep one
-        warm platform per registry key and restore it between runs via
-        the bundle's ``reset`` hook instead of rebuilding — outcomes
-        are bit-for-bit identical either way (equivalence-tested), so
-        the knob exists only for A/B measurement and debugging.
+        warm platform per registry key and, instead of rebuilding,
+        restore before each run the kernel snapshot and module capture
+        (the bundle's ``capture_state``/``restore_state`` hooks) taken
+        at elaboration — outcomes are bit-for-bit identical either way
+        (equivalence-tested), so the knob exists only for A/B
+        measurement and debugging.
         ``chunk_size`` overrides the parallel executor's per-future
         batch size (``None`` auto-tunes; serial ignores it).  Neither
         knob is part of the checkpoint identity.
@@ -590,7 +588,6 @@ class Campaign:
             workers=workers,
             retry=RetryPolicy(max_retries, retry_backoff_s),
             hard_timeout_s=hard_timeout_s,
-            reset=self.reset,
             capture_state=self.capture_state,
             restore_state=self.restore_state,
             chunk_size=chunk_size,

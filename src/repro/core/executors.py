@@ -16,8 +16,10 @@ batches, to a swappable :class:`Executor`:
   :class:`~repro.core.runspec.RunOutcome`.  Outcomes are re-ordered
   by run index, so aggregation is independent of worker scheduling.
 
-Both backends execute the *same* ``execute_runspec`` routine, which is
-what the serial/parallel equivalence tests pin down.
+Both backends execute the *same* run body (``repro.core.runspec``):
+``execute_runspec`` per run and ``execute_fork_group`` per fork group,
+dispatched by the same ``dispatch_batch``, which is what the
+serial/parallel equivalence tests pin down.
 
 Fault tolerance
 ---------------
@@ -59,15 +61,15 @@ import time
 import typing as _t
 
 from .runspec import (
-    ForkUnsupported,
     RunOutcome,
     RunSpec,
+    dispatch_batch,
+    error_outcome,
     execute_chunk_tolerant,
     execute_fork_group,
     execute_runspec,
     execute_runspec_tolerant,
     failure_outcome,
-    fork_groups,
 )
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -143,14 +145,14 @@ class SerialExecutor(Executor):
     """In-process execution — the reference backend.
 
     Built either from explicit callables (any campaign, including ones
-    whose factories are closures) or from a registry key.  ``reset``
-    is the platform bundle's warm-reset hook; when present, runs that
-    permit ``reuse_platform`` execute on one warm platform instead of
-    re-elaborating per run.  ``capture_state``/``restore_state`` are
-    the bundle's snapshot hooks; fork-mode specs (``RunSpec.fork``)
-    sharing a platform and injection time then run as snapshot-fork
-    groups — one shared prefix, N forked suffixes — with per-run
-    fallback whenever a group cannot fork.
+    whose factories are closures) or from a registry key.
+    ``capture_state``/``restore_state`` are the platform bundle's state
+    hooks.  With them, runs that permit ``reuse_platform`` execute on
+    one warm platform, restored to its elaboration capture before each
+    run instead of re-elaborated, and fork-mode specs
+    (``RunSpec.fork``) sharing a platform and injection time run as
+    snapshot-fork groups — one shared prefix, N forked suffixes — with
+    per-run fallback whenever a group cannot fork.
     """
 
     def __init__(
@@ -158,14 +160,12 @@ class SerialExecutor(Executor):
         factory: "_t.Callable[[Simulator], Module]",
         observe: "_t.Callable[[Module], RunObservation]",
         classifier: "Classifier",
-        reset: _t.Optional[_t.Callable] = None,
         capture_state: _t.Optional[_t.Callable] = None,
         restore_state: _t.Optional[_t.Callable] = None,
     ):
         self.factory = factory
         self.observe = observe
         self.classifier = classifier
-        self.reset = reset
         self.capture_state = capture_state
         self.restore_state = restore_state
 
@@ -173,36 +173,21 @@ class SerialExecutor(Executor):
         try:
             return execute_runspec(
                 spec, self.factory, self.observe, self.classifier,
-                reset=self.reset,
+                capture_state=self.capture_state,
+                restore_state=self.restore_state,
             )
         except Exception as exc:  # noqa: BLE001 - degraded to a record  # vp-lint: disable=VP007 - deadlines degrade to TIMEOUT inside execute_runspec; nothing to re-raise here
-            return failure_outcome(
-                spec,
-                failure="error",
-                error=f"{type(exc).__name__}: {exc}",
-                attempts=spec.attempt + 1,
-                label=f"error:{type(exc).__name__}",
-            )
+            return error_outcome(spec, exc)
+
+    def _run_group(self, specs: _t.Sequence[RunSpec]) -> _t.List[RunOutcome]:
+        return execute_fork_group(
+            specs, self.factory, self.observe, self.classifier,
+            capture_state=self.capture_state,
+            restore_state=self.restore_state,
+        )
 
     def run_batch(self, specs: _t.Sequence[RunSpec]) -> _t.List[RunOutcome]:
-        groups, singles = fork_groups(specs)
-        if not groups:
-            return [self._run_one(spec) for spec in specs]
-        done: _t.Dict[int, RunOutcome] = {}
-        for _key, members in groups:
-            try:
-                results = execute_fork_group(
-                    members, self.factory, self.observe, self.classifier,
-                    capture_state=self.capture_state,
-                    restore_state=self.restore_state,
-                )
-            except ForkUnsupported:
-                results = [self._run_one(spec) for spec in members]
-            for spec, outcome in zip(members, results):
-                done[spec.index] = outcome
-        for spec in singles:
-            done[spec.index] = self._run_one(spec)
-        return [done[spec.index] for spec in specs]
+        return dispatch_batch(specs, self._run_group, self._run_one)
 
 
 class ParallelExecutor(Executor):
@@ -582,13 +567,13 @@ def registered_backends() -> _t.Tuple[str, ...]:
 
 
 def _build_serial(
-    *, factory=None, observe=None, classifier=None, reset=None,
+    *, factory=None, observe=None, classifier=None,
     capture_state=None, restore_state=None, **_unused,
 ) -> Executor:
     if factory is None or observe is None or classifier is None:
         raise ValueError("serial backend needs factory/observe/classifier")
     return SerialExecutor(
-        factory, observe, classifier, reset=reset,
+        factory, observe, classifier,
         capture_state=capture_state, restore_state=restore_state,
     )
 
@@ -652,7 +637,6 @@ def make_executor(
     workers: _t.Optional[int] = None,
     retry: _t.Optional[RetryPolicy] = None,
     hard_timeout_s: _t.Optional[float] = None,
-    reset=None,
     capture_state=None,
     restore_state=None,
     chunk_size: _t.Optional[int] = None,
@@ -690,7 +674,6 @@ def make_executor(
         workers=workers,
         retry=retry,
         hard_timeout_s=hard_timeout_s,
-        reset=reset,
         capture_state=capture_state,
         restore_state=restore_state,
         chunk_size=chunk_size,

@@ -12,15 +12,18 @@ execution backends"):
    :class:`~repro.core.campaign.CampaignResult`, coverage, and
    strategy feedback.
 
-:func:`execute_runspec` is the single simulation routine both backends
-share: build a fresh kernel and platform, arm the stressor, simulate,
-observe, classify against the golden reference.  Identical code on
-both sides is what makes serial and parallel campaigns bit-equal.
+Every backend runs specs through the same code, which is what makes
+serial and parallel campaigns bit-equal: :func:`dispatch_batch` forms a
+batch's fork groups, :func:`execute_runspec` and
+:func:`execute_fork_group` bring a platform to a run's start state —
+a fresh build, or a restore of a captured (kernel snapshot, module
+capture) pair — and both hand it to :func:`_run`, the one per-run body.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 import time
 import typing as _t
@@ -35,7 +38,7 @@ from .scenario import ErrorScenario
 from .stressor import Stressor
 
 if _t.TYPE_CHECKING:  # pragma: no cover
-    from ..kernel import Module
+    from ..kernel import KernelState, Module
 
 #: Version of the serialized :class:`RunOutcome` layout, stamped into
 #: checkpoint journal headers.  Bump on any incompatible change to
@@ -68,10 +71,10 @@ class RunSpec:
     and embeds it here so every worker traces identically.
 
     ``reuse_platform`` lets the executing side keep a warm platform
-    between runs when the platform bundle opts in with a ``reset``
-    hook; ``False`` forces a fresh build for every run.  Reuse never
-    changes simulation content (that equivalence is test-pinned), so
-    the flag is not part of the checkpoint identity.
+    between runs when the platform bundle has ``capture_state``/
+    ``restore_state`` hooks; ``False`` forces a fresh build for every
+    run.  Reuse never changes simulation content (that equivalence is
+    test-pinned), so the flag is not part of the checkpoint identity.
 
     ``fork`` opts the run into **snapshot-fork execution**: the
     executing side may group specs sharing a platform and earliest
@@ -401,6 +404,21 @@ def failure_outcome(
     )
 
 
+def error_outcome(spec: RunSpec, exc: BaseException) -> RunOutcome:
+    """The terminal record of a run whose body raised *exc*.
+
+    A deterministic raise would fail identically on every retry, so
+    the run is charged one attempt and labelled ``error:<type>``.
+    """
+    return failure_outcome(
+        spec,
+        failure="error",
+        error=f"{type(exc).__name__}: {exc}",
+        attempts=spec.attempt + 1,
+        label=f"error:{type(exc).__name__}",
+    )
+
+
 def _resolve_trace_signals(
     spec: RunSpec,
     root: "Module",
@@ -424,11 +442,19 @@ def _resolve_trace_signals(
     return {}
 
 
-#: Per-process warm-platform cache: platform key -> (kernel, root).
-#: Workers keep one elaborated platform per key and return it to its
-#: power-on state with ``Simulator.reset()`` + the bundle ``reset``
-#: hook instead of re-running elaboration for every spec.
-_WARM_PLATFORMS: _t.Dict[str, _t.Tuple[Simulator, "Module"]] = {}
+class _WarmPlatform(_t.NamedTuple):
+    """A cached platform, the factory that built it, and its
+    elaboration capture."""
+
+    factory: _t.Callable
+    sim: Simulator
+    root: "Module"
+    kernel_state: "KernelState"
+    platform_restore: _t.Callable[[], None]
+
+
+#: Per-process warm-platform cache: platform key -> :class:`_WarmPlatform`.
+_WARM_PLATFORMS: _t.Dict[str, _WarmPlatform] = {}
 
 
 def clear_warm_platforms() -> None:
@@ -436,103 +462,113 @@ def clear_warm_platforms() -> None:
     _WARM_PLATFORMS.clear()
 
 
+def _drop_warm(key: _t.Optional[str], sim: Simulator) -> None:
+    """Forget *sim* if it is the cached warm platform for *key*."""
+    entry = _WARM_PLATFORMS.get(key)
+    if entry is not None and entry.sim is sim:
+        del _WARM_PLATFORMS[key]
+
+
 def _acquire_platform(
     spec: RunSpec,
     factory: "_t.Callable[[Simulator], Module]",
-    reset: _t.Optional[_t.Callable],
+    capture_state: _t.Optional[_t.Callable],
+    restore_state: _t.Optional[_t.Callable],
     kernel_factory: _t.Optional[_t.Callable[[], Simulator]] = None,
 ) -> _t.Tuple[Simulator, "Module", bool]:
     """``(sim, root, warm)`` to run *spec* on.
 
-    The warm path engages only when the spec allows reuse **and** the
-    caller supplied the bundle's ``reset`` hook: a cached platform is
-    restored to power-on state (kernel first, then module state), a
-    cache miss elaborates once and caches.  Everything else builds
-    fresh and is discarded after the run.
+    The warm path engages when the spec allows reuse, carries a
+    platform key, and the caller supplied the bundle's
+    ``capture_state``/``restore_state`` hooks.  A miss elaborates and
+    caches the platform with a strict :meth:`Simulator.snapshot` and a
+    module capture taken before any per-run scaffolding is armed; a hit
+    from the same factory restores that pair.  A key re-registered with
+    another factory therefore misses, and a platform whose elaboration
+    leaves a bare-generator process alive (which a lenient snapshot
+    would silently drop from every warm run) builds fresh every time.
 
     A non-default *kernel_factory* (instrumented kernels: the
     order-sensitivity checker's shuffled scheduler) forces the fresh
     path — an instrumented kernel must never be cached as a warm
     platform other runs would silently inherit.
     """
+    key = spec.platform
     if (
         kernel_factory is None
-        and reset is not None
+        and capture_state is not None
+        and restore_state is not None
         and spec.reuse_platform
-        and spec.platform
+        and key
     ):
-        cached = _WARM_PLATFORMS.get(spec.platform)
-        if cached is not None:
-            sim, root = cached
-            sim.reset()
-            reset(root)
-            return sim, root, True
+        entry = _WARM_PLATFORMS.get(key)
+        if entry is not None and entry.factory is factory:
+            entry.sim.restore(
+                entry.kernel_state, platform_restore=entry.platform_restore
+            )
+            return entry.sim, entry.root, True
         sim = Simulator()
         root = factory(sim)
-        # Pin the elaboration boundary before any per-run scaffolding
-        # (stressor, tracer) is armed: reset() replays exactly the
-        # pending notifications the factory left behind, so a warm
-        # kernel starts from the same state a fresh build would.
-        sim.snapshot_elaboration()
-        _WARM_PLATFORMS[spec.platform] = (sim, root)
+        try:
+            kernel_state = sim.snapshot()
+        except SnapshotUnsupported:
+            return sim, root, False
+        _WARM_PLATFORMS[key] = _WarmPlatform(
+            factory, sim, root, kernel_state,
+            functools.partial(restore_state, root, capture_state(root)),
+        )
         return sim, root, True
     sim = Simulator() if kernel_factory is None else kernel_factory()
     return sim, factory(sim), False
 
 
-def execute_runspec(
+def _run(
     spec: RunSpec,
-    factory: "_t.Callable[[Simulator], Module]",
+    sim: Simulator,
+    root: "Module",
     observe: "_t.Callable[[Module], RunObservation]",
     classifier: Classifier,
-    golden: _t.Optional[RunObservation] = None,
-    trace_signals: _t.Optional[_t.Callable] = None,
-    reset: _t.Optional[_t.Callable] = None,
-    kernel_factory: _t.Optional[_t.Callable[[], Simulator]] = None,
+    golden: _t.Optional[RunObservation],
+    trace_signals: _t.Optional[_t.Callable],
+    wall_start: float,
+    outlives: bool,
+    seq_base: _t.Optional[int] = None,
+    prefix_detections: _t.Optional[_t.Sequence[_t.Any]] = None,
 ) -> RunOutcome:
-    """Execute one spec and classify the result.
+    """Run *spec* on a platform already at its start state.
 
-    *kernel_factory* (default: plain :class:`Simulator`) builds the
-    kernel for the fresh path — diagnostic harnesses pass an
-    instrumented one (e.g. ``Simulator(order_seed=...)`` from the
-    order-sensitivity checker); supplying it disables warm reuse for
-    this call.
-
-    The golden reference is taken from the spec when present,
-    otherwise from the *golden* argument; planners always embed it so
-    executors need no shared state.
-
-    *reset* is the platform bundle's warm-reset hook; passing it (for
-    a spec that permits ``reuse_platform``) lets this routine keep the
-    elaborated platform between calls, resetting instead of
-    rebuilding.  Without it every call builds a fresh kernel and
-    platform — semantically identical, just slower.
-
-    When ``spec.trace`` is set a :class:`~repro.observe.runtrace.RunTrace`
-    is armed alongside the stressor — before simulation starts, so the
-    injection window is fully covered — and its digest rides back on
-    the outcome.  The recorder is disarmed on every exit path (the
-    detection hook bus is process-global; a leaked sink would bleed
-    events into the worker's next run).
+    The stressor arms normally, or with :meth:`Stressor.arm_forked`
+    above *seq_base* on a forked kernel; a traced spec's recorder is
+    armed before simulation starts, seeded with a fork prefix's
+    *prefix_detections*.  On every exit the recorder is disarmed (the
+    detection hook bus is process-global), and when the platform
+    *outlives* the run — warm, or a fork group's base — the stressor
+    subtree is detached.  A raise evicts the platform from the warm
+    cache and propagates.
     """
     reference = spec.golden if spec.golden is not None else golden
     if reference is None:
         raise ValueError(
             f"run {spec.index}: no golden reference (neither embedded "
-            f"in the spec nor passed to execute_runspec)"
+            f"in the spec nor passed by the caller)"
         )
-    wall_start = time.perf_counter()  # vp-lint: disable=VP005 - wall_s accounting, not model behavior
-    sim, root, warm = _acquire_platform(spec, factory, reset, kernel_factory)
     stressor = Stressor(
         "stressor", parent=root, platform_root=root,
         rng=random.Random(spec.run_seed),
     )
-    stressor.arm(spec.scenario)
     run_trace: _t.Optional[RunTrace] = None
-    if spec.trace is not None:
-        run_trace = RunTrace(spec.trace, spec.index, spec.run_seed)
-        run_trace.arm(sim, _resolve_trace_signals(spec, root, trace_signals))
     try:
+        if seq_base is None:
+            stressor.arm(spec.scenario)
+        else:
+            stressor.arm_forked(spec.scenario, seq_base)
+        if spec.trace is not None:
+            run_trace = RunTrace(spec.trace, spec.index, spec.run_seed)
+            if prefix_detections is not None:
+                run_trace.preload_detections(prefix_detections)
+            run_trace.arm(
+                sim, _resolve_trace_signals(spec, root, trace_signals)
+            )
         try:
             sim.run(until=spec.duration, deadline_s=spec.deadline_s)
         except DeadlineExceeded as exc:
@@ -541,7 +577,9 @@ def execute_runspec(
             # instead of stalling the campaign.  Partial kernel counters
             # still ship so the wasted simulation work is accounted for,
             # and the trace recorded up to the hang survives as a
-            # partial digest — the hung-run post-mortem evidence.
+            # partial digest — the hung-run post-mortem evidence.  The
+            # platform stays cached: a restore returns a merely
+            # interrupted platform to its start state (test-pinned).
             kernel_stats = sim.stats()
             kernel_stats["wall_s"] = time.perf_counter() - wall_start  # vp-lint: disable=VP005 - wall_s accounting, not model behavior
             digest = None
@@ -585,27 +623,60 @@ def execute_runspec(
         )
     except BaseException:
         # Unwinding with the platform in an unknown mid-run state
-        # (raising process body, observation/classification bug): drop
-        # the warm entry so the next run re-elaborates from scratch
-        # rather than trusting the reset protocol to repair it.
-        # Deadline timeouts do NOT take this path — they return a
-        # record above, and the reset protocol provably restores a
-        # merely-interrupted platform (equivalence-test pinned).
-        if warm:
-            _WARM_PLATFORMS.pop(spec.platform, None)
+        # (raising process body, observation/classification bug): the
+        # next run re-elaborates rather than trusting a restore to
+        # repair it.
+        _drop_warm(spec.platform, sim)
         raise
     finally:
-        # Raising runs reach here with the recorder still armed; the
-        # caller (serial executor / tolerant worker wrapper) degrades
-        # the exception to a terminal record with a planned digest.
         if run_trace is not None:
             run_trace.disarm()
-        if warm:
-            # Per-run scaffolding must not accumulate on the reused
-            # platform: detach reaps the stressor subtree — kills its
-            # injection processes and unregisters anything it created
-            # from the kernel — so warm-kernel memory stays flat.
+        if outlives:
+            # Detach reaps the stressor subtree — kills its injection
+            # processes and unregisters anything it created from the
+            # kernel — so a reused kernel's memory stays flat and the
+            # parent never accumulates same-named stressor children.
             stressor.detach()
+
+
+def execute_runspec(
+    spec: RunSpec,
+    factory: "_t.Callable[[Simulator], Module]",
+    observe: "_t.Callable[[Module], RunObservation]",
+    classifier: Classifier,
+    golden: _t.Optional[RunObservation] = None,
+    trace_signals: _t.Optional[_t.Callable] = None,
+    capture_state: _t.Optional[_t.Callable] = None,
+    restore_state: _t.Optional[_t.Callable] = None,
+    kernel_factory: _t.Optional[_t.Callable[[], Simulator]] = None,
+) -> RunOutcome:
+    """Execute one spec and classify the result.
+
+    *capture_state*/*restore_state* are the platform bundle's state
+    hooks; passing them (for a spec that permits ``reuse_platform``)
+    lets this routine keep the elaborated platform between calls,
+    restoring its elaboration capture instead of rebuilding (see
+    :func:`_acquire_platform`).  Without them every call builds a
+    fresh kernel and platform — semantically identical, just slower.
+
+    *kernel_factory* (default: plain :class:`Simulator`) builds the
+    kernel for the fresh path — diagnostic harnesses pass an
+    instrumented one (e.g. ``Simulator(order_seed=...)`` from the
+    order-sensitivity checker); supplying it disables warm reuse for
+    this call.
+
+    The golden reference is taken from the spec when present,
+    otherwise from the *golden* argument; planners always embed it so
+    executors need no shared state.
+    """
+    wall_start = time.perf_counter()  # vp-lint: disable=VP005 - wall_s accounting, not model behavior
+    sim, root, warm = _acquire_platform(
+        spec, factory, capture_state, restore_state, kernel_factory
+    )
+    return _run(
+        spec, sim, root, observe, classifier, golden, trace_signals,
+        wall_start, outlives=warm,
+    )
 
 
 def execute_runspec_from_registry(spec: RunSpec) -> RunOutcome:
@@ -627,7 +698,8 @@ def execute_runspec_from_registry(spec: RunSpec) -> RunOutcome:
     classifier = registry.get_classifier(spec.platform)
     return execute_runspec(
         spec, bundle.factory, bundle.observe, classifier,
-        reset=bundle.reset,
+        capture_state=bundle.capture_state,
+        restore_state=bundle.restore_state,
     )
 
 
@@ -709,12 +781,15 @@ def execute_fork_group(
 
     All *specs* must share a platform and fork time (as produced by
     :func:`fork_groups`).  The fault-free prefix ``[0, t1-1]`` is
-    simulated once on a fresh build; :meth:`Simulator.snapshot` plus
-    the platform's ``capture_state`` hook then pin the boundary, and
-    each spec runs the suffix from a restore of that capture.  Every
-    result record — outcome, observation, kernel counters (minus
-    wall clock), digest — is byte-identical to per-run execution;
-    that equivalence is property-test pinned.
+    simulated once on the platform :func:`_acquire_platform` hands out
+    (the warm one when the lead spec allows reuse);
+    :meth:`Simulator.snapshot` plus the platform's ``capture_state``
+    hook then pin the boundary, and each spec runs the suffix through
+    :func:`_run` from a restore of that capture.  Every result record
+    — outcome, observation, kernel counters (minus wall clock), digest
+    — is byte-identical to per-run execution; that equivalence is
+    property-test pinned.  A member that raises comes back as the same
+    terminal record the tolerant per-run path emits.
 
     Raises :class:`ForkUnsupported` when the platform lacks snapshot
     hooks, holds bare-generator processes, or the prefix itself fails —
@@ -735,8 +810,9 @@ def execute_fork_group(
                 "(platform, fork_time); use fork_groups() to partition"
             )
 
-    sim = Simulator()
-    root = factory(sim)
+    sim, root, _warm = _acquire_platform(
+        specs[0], factory, capture_state, restore_state
+    )
 
     # Probe the tie-break counter at the end of delta cycle 0: on a
     # fresh run the stressor's injectors step *last* in that cycle (the
@@ -763,6 +839,7 @@ def execute_fork_group(
         try:
             sim.run(until=t1 - 1, deadline_s=specs[0].deadline_s)
         except Exception as exc:  # vp-lint: disable=VP007 - prefix failure aborts fork mode; the per-run fallback re-raises identically inside each run's own record
+            _drop_warm(specs[0].platform, sim)
             raise ForkUnsupported(
                 f"prefix failed: {type(exc).__name__}: {exc}"
             ) from exc
@@ -778,104 +855,30 @@ def execute_fork_group(
         kernel_state = sim.snapshot()
     except SnapshotUnsupported as exc:
         raise ForkUnsupported(str(exc)) from exc
-    module_state = capture_state(root)
-
-    def platform_restore():
-        restore_state(root, module_state)
+    platform_restore = functools.partial(
+        restore_state, root, capture_state(root)
+    )
+    prefix_detections = (
+        prefix_sink.detections if prefix_sink is not None else None
+    )
 
     outcomes: _t.List[RunOutcome] = []
     for position, spec in enumerate(specs):
         wall_start = time.perf_counter()  # vp-lint: disable=VP005 - wall_s accounting, not model behavior
-        run_trace: _t.Optional[RunTrace] = None
-        stressor = None
         try:
-            reference = spec.golden if spec.golden is not None else golden
-            if reference is None:
-                raise ValueError(
-                    f"run {spec.index}: no golden reference (neither "
-                    f"embedded in the spec nor passed to "
-                    f"execute_fork_group)"
-                )
             if position > 0:
                 sim.restore(kernel_state, platform_restore=platform_restore)
             # Boundary compensation: resuming run() at t1-1 executes one
             # empty delta cycle a continuous run would not; undo it so
             # forked kernel counters equal fresh ones byte-for-byte.
             sim.delta_cycles_total -= 1
-            stressor = Stressor(
-                "stressor", parent=root, platform_root=root,
-                rng=random.Random(spec.run_seed),
-            )
-            stressor.arm_forked(spec.scenario, seq_base)
-            if spec.trace is not None:
-                run_trace = RunTrace(spec.trace, spec.index, spec.run_seed)
-                if prefix_sink is not None:
-                    run_trace.preload_detections(prefix_sink.detections)
-                run_trace.arm(
-                    sim, _resolve_trace_signals(spec, root, trace_signals)
-                )
-            try:
-                sim.run(until=spec.duration, deadline_s=spec.deadline_s)
-            except DeadlineExceeded as exc:
-                kernel_stats = sim.stats()
-                kernel_stats["wall_s"] = time.perf_counter() - wall_start  # vp-lint: disable=VP005 - wall_s accounting, not model behavior
-                digest = None
-                if run_trace is not None:
-                    digest = run_trace.finalize(
-                        stressor=stressor,
-                        outcome=Outcome.TIMEOUT.name,
-                        partial=True,
-                    )
-                outcomes.append(failure_outcome(
-                    spec,
-                    failure="timeout",
-                    error=str(exc),
-                    attempts=spec.attempt + 1,
-                    kernel_stats=kernel_stats,
-                    label="timeout:deadline",
-                    digest=digest,
-                ))
-                continue
-            observation = observe(root)
-            outcome, matched = classifier.classify(observation, reference)
-            digest = None
-            if run_trace is not None:
-                digest = run_trace.finalize(
-                    stressor=stressor,
-                    observation=observation,
-                    golden=reference,
-                    outcome=outcome.name,
-                )
-            kernel_stats = sim.stats()
-            kernel_stats["wall_s"] = time.perf_counter() - wall_start  # vp-lint: disable=VP005 - wall_s accounting, not model behavior
-            outcomes.append(RunOutcome(
-                index=spec.index,
-                outcome=outcome,
-                matched_rules=tuple(matched),
-                observation=observation,
-                injections_applied=len(stressor.applied),
-                kernel_stats=kernel_stats,
-                stressor_errors=tuple(stressor.errors),
-                attempts=spec.attempt + 1,
-                digest=digest,
+            outcomes.append(_run(
+                spec, sim, root, observe, classifier, golden,
+                trace_signals, wall_start, outlives=True,
+                seq_base=seq_base, prefix_detections=prefix_detections,
             ))
         except Exception as exc:  # vp-lint: disable=VP007 - degraded to the same terminal record the tolerant per-run path emits; the next iteration restores the snapshot regardless
-            outcomes.append(failure_outcome(
-                spec,
-                failure="error",
-                error=f"{type(exc).__name__}: {exc}",
-                attempts=spec.attempt + 1,
-                label=f"error:{type(exc).__name__}",
-            ))
-        finally:
-            if run_trace is not None:
-                run_trace.disarm()
-            if stressor is not None:
-                # Reap this run's scaffolding before the next restore:
-                # detached processes stay dead through restore (the
-                # capture predates them), and the parent must not
-                # accumulate same-named stressor children.
-                stressor.detach()
+            outcomes.append(error_outcome(spec, exc))
     return outcomes
 
 
@@ -900,6 +903,32 @@ def execute_fork_group_from_registry(
     )
 
 
+def dispatch_batch(
+    specs: _t.Sequence[RunSpec],
+    run_group: _t.Callable[[_t.Sequence[RunSpec]], _t.List[RunOutcome]],
+    run_one: _t.Callable[[RunSpec], RunOutcome],
+) -> _t.List[RunOutcome]:
+    """Run a batch: fork groups through *run_group*, the rest — and
+    every member of a group the platform cannot fork
+    (:class:`ForkUnsupported`) — one by one through *run_one*.
+
+    Specs sharing a platform and fork time form a group (see
+    :func:`fork_groups`); records come back in spec order either way.
+    """
+    groups, singles = fork_groups(specs)
+    done: _t.Dict[int, RunOutcome] = {}
+    for _key, members in groups:
+        try:
+            results = run_group(members)
+        except ForkUnsupported:
+            results = [run_one(spec) for spec in members]
+        for spec, outcome in zip(members, results):
+            done[spec.index] = outcome
+    for spec in singles:
+        done[spec.index] = run_one(spec)
+    return [done[spec.index] for spec in specs]
+
+
 def execute_runspec_tolerant(spec: RunSpec) -> RunOutcome:
     """Worker-side entry point that never raises back across the pool.
 
@@ -915,13 +944,7 @@ def execute_runspec_tolerant(spec: RunSpec) -> RunOutcome:
     try:
         return execute_runspec_from_registry(spec)
     except Exception as exc:  # noqa: BLE001 - degraded to a record  # vp-lint: disable=VP007 - deadlines degrade to TIMEOUT inside execute_runspec; anything that escapes must become a record, never kill the worker
-        return failure_outcome(
-            spec,
-            failure="error",
-            error=f"{type(exc).__name__}: {exc}",
-            attempts=spec.attempt + 1,
-            label=f"error:{type(exc).__name__}",
-        )
+        return error_outcome(spec, exc)
 
 
 def execute_chunk_tolerant(
@@ -929,34 +952,21 @@ def execute_chunk_tolerant(
 ) -> _t.List[RunOutcome]:
     """Worker-side entry point for one contiguous chunk of specs.
 
-    Runs each spec through the tolerant per-run path in order, so a
-    chunk's records are byte-identical to the same specs dispatched
-    one future each — per-run deadlines, degradation labels, and
-    digests all come from the same code.  One pickled future per
-    *chunk* instead of per *run* is where the dispatch saving comes
-    from (and within a chunk, warm-platform reuse never pays the
-    pool's pickling round-trip between consecutive runs).
+    Runs the chunk through :func:`dispatch_batch` — the same grouping
+    and per-run fallback the serial executor uses — with the tolerant
+    per-run path, so a chunk's records are byte-identical to the same
+    specs dispatched one future each: per-run deadlines, degradation
+    labels, and digests all come from the same code.  One pickled
+    future per *chunk* instead of per *run* is where the dispatch
+    saving comes from (and within a chunk, warm-platform reuse never
+    pays the pool's pickling round-trip between consecutive runs).
 
     Worker death mid-chunk surfaces pool-side as a failure of the
     whole chunk's future; the executor then falls back to per-run
     dispatch for exactly these specs (see
     ``ParallelExecutor.run_batch``), which re-derives the crash /
     hang attribution at run granularity.
-
-    Fork-mode specs are grouped *within* the chunk: specs sharing a
-    platform and fork time run as one snapshot-fork group, anything
-    else (and any group the platform cannot fork) takes the per-run
-    path.  Records come back in spec order either way.
     """
-    groups, singles = fork_groups(specs)
-    done: _t.Dict[int, RunOutcome] = {}
-    for _key, members in groups:
-        try:
-            results = execute_fork_group_from_registry(members)
-        except ForkUnsupported:
-            results = [execute_runspec_tolerant(spec) for spec in members]
-        for spec, outcome in zip(members, results):
-            done[spec.index] = outcome
-    for spec in singles:
-        done[spec.index] = execute_runspec_tolerant(spec)
-    return [done[spec.index] for spec in specs]
+    return dispatch_batch(
+        specs, execute_fork_group_from_registry, execute_runspec_tolerant
+    )

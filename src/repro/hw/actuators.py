@@ -43,16 +43,8 @@ class Squib(Module):
         self.tsock = TargetSocket(self, "tsock", self)
         self.fired_event = self.event("fired")
 
-    def warm_reset(self) -> None:
-        """Un-latch the (model of the) pyro charge for platform reuse."""
-        self.armed = False
-        self.fired = False
-        self.fire_time = None
-        self.arm_time = None
-        self.spurious_commands = 0
-
     def capture_state(self) -> tuple:
-        """Deep-capture the interlock state (snapshot-fork support)."""
+        """Deep-capture the interlock state (warm reuse, snapshot-fork)."""
         return (
             self.armed, self.fired, self.fire_time, self.arm_time,
             self.spurious_commands,
@@ -145,7 +137,7 @@ class ServoMotor(Module):
         self.process(self._track, name="servo")
 
     def capture_state(self) -> tuple:
-        """Deep-capture the servo's run state (snapshot-fork support)."""
+        """Deep-capture the servo's run state (warm reuse, snapshot-fork)."""
         return (
             self.command, self.position, self.external_load,
             self.stall_periods, self.overcurrent_fault,

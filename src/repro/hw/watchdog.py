@@ -70,17 +70,8 @@ class Watchdog(Module):
         self.tsock = TargetSocket(self, "tsock", self)
         self.process(self._guard, name="guard")
 
-    def warm_reset(self) -> None:
-        """Restore power-on state (warm-platform reuse)."""
-        self.enabled = False
-        self.last_kick = None
-        self.timeouts = 0
-        self.early_kicks = 0
-        self.bad_key_kicks = 0
-        self.timeout_latched = False
-
     def capture_state(self) -> tuple:
-        """Deep-capture the guard state (snapshot-fork support)."""
+        """Deep-capture the guard state (warm reuse, snapshot-fork)."""
         return (
             self.enabled, self.last_kick, self.timeouts, self.early_kicks,
             self.bad_key_kicks, self.timeout_latched,

@@ -123,8 +123,11 @@ class Simulator:
         self._stop_requested = False
         self._errors: list = []
         self._deadline_at: _t.Optional[float] = None
-        #: Kernel state captured at end of elaboration so :meth:`reset`
-        #: can restore it; see :meth:`snapshot_elaboration`.
+        #: Lenient :meth:`snapshot` pinned at the end of elaboration (by
+        #: the first :meth:`run`) so :meth:`reset` can restore it —
+        #: including notifications a factory left behind
+        #: (``timeout_event``, ``notify``, staged writes), which a
+        #: fresh build would deliver too.
         self._elab_snapshot: _t.Optional[KernelState] = None
         #: Hooks invoked as fn(sim) after every delta cycle (tracing).
         self.delta_hooks: list = []
@@ -287,10 +290,8 @@ class Simulator:
         if self._elab_snapshot is None:
             # Anything scheduled before the first run() is elaboration
             # output (timed events from platform factories, staged
-            # writes); pin it now so reset() can replay it.  Warm-reuse
-            # callers snapshot explicitly right after the factory runs,
-            # before any per-run scaffolding is armed.
-            self.snapshot_elaboration()
+            # writes); pin it now so reset() can replay it.
+            self._elab_snapshot = self.snapshot(strict=False)
         horizon = simtime.TIME_MAX if until is None else until
         self._deadline_at = (
             None if deadline_s is None
@@ -515,32 +516,11 @@ class Simulator:
             self._wheel, (self.now + condition, seq, "process", process)
         )
 
-    def snapshot_elaboration(self) -> None:
-        """Pin the elaboration boundary for :meth:`reset` to restore.
-
-        A platform factory may leave notifications behind before the
-        first :meth:`run` — ``sim.timeout_event(delay)``,
-        ``event.notify(delay)``, ``event.notify(0)``, or a staged
-        ``signal.write`` — all of which a fresh build would deliver.
-        Without a pinned capture those elaboration-time notifications
-        would exist on a fresh platform but not on a warm one,
-        silently breaking the bit-for-bit reuse contract.
-
-        Called automatically at the top of the first :meth:`run`; the
-        warm-reuse executor calls it explicitly right after the platform
-        factory returns (before per-run scaffolding such as the
-        stressor arms), which is the precise elaboration boundary.
-        Calling it again later re-pins the boundary.  This is simply
-        :meth:`snapshot` in lenient mode, retained by the kernel.
-        """
-        self._elab_snapshot = self.snapshot(strict=False)
-
     def reset(self) -> None:
         """Return the kernel to its power-on state, keeping the platform.
 
-        The warm-reuse protocol (see ``DESIGN.md`` · Campaign
-        performance), now a thin wrapper over :meth:`restore` with the
-        elaboration snapshot: factory-spawned processes are rebuilt and
+        A thin wrapper over :meth:`restore` with the elaboration
+        snapshot: factory-spawned processes are rebuilt and
         rescheduled in original spawn order, bare-generator processes
         (per-run stressor injections) are killed and dropped, and every
         queue, counter, and registered signal returns to its
@@ -550,10 +530,11 @@ class Simulator:
         are per-run scaffolding, so reset always clears them.
 
         Module-level state (memory contents, component counters) is the
-        platform's job — see the registry bundle ``reset`` hook.
+        platform's job — campaigns restore it through the registry
+        bundle's ``capture_state``/``restore_state`` hooks.
         """
         if self._elab_snapshot is None:
-            self.snapshot_elaboration()
+            self._elab_snapshot = self.snapshot(strict=False)
         self.restore(self._elab_snapshot)
         self.delta_hooks.clear()
 

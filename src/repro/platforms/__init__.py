@@ -38,7 +38,6 @@ register_platform(
     description="CAPS airbag, normal operation (safety goal G1: "
     "no spurious deployment)",
     trace_signals=airbag.trace_signals,
-    reset=airbag.warm_reset,
     capture_state=airbag.capture_state,
     restore_state=airbag.restore_state,
     reach_surface=airbag.reach_surface,
@@ -51,19 +50,18 @@ register_platform(
     description="CAPS airbag, crash pulse at 50 ms (goal G2: deploy "
     "in time)",
     trace_signals=airbag.trace_signals,
-    reset=airbag.warm_reset,
     capture_state=airbag.capture_state,
     restore_state=airbag.restore_state,
     reach_surface=airbag.reach_surface,
 )
-register_platform(  # vp-lint: disable=VP009 - distributed CAN state is rebuilt fresh; warm reset unproven for it
+register_platform(  # vp-lint: disable=VP009 - distributed CAN state has no capture hooks; rebuilt fresh for every run
     "acc",
     acc.build_acc,
     acc.observe,
     acc.acc_classifier,
     description="distributed adaptive cruise control over CAN",
 )
-register_platform(  # vp-lint: disable=VP009 - servo factory closes over tuned controller state; stays fresh-build
+register_platform(
     "steering",
     _steering_factory,
     steering.observe,
@@ -72,7 +70,7 @@ register_platform(  # vp-lint: disable=VP009 - servo factory closes over tuned c
     capture_state=steering.capture_state,
     restore_state=steering.restore_state,
 )
-register_platform(  # vp-lint: disable=VP009 - deliberately crashes/livelocks; must never be reused warm
+register_platform(  # vp-lint: disable=VP009 - deliberately crashes/livelocks; must never be reused warm or forked
     "hostile-dut",
     hostile.build_hostile,
     hostile.observe,

@@ -21,15 +21,17 @@ nominates the kernel signals the observability layer
 the platform knows which of its signals carry safety-relevant state;
 the trace machinery should not have to guess.
 
-An optional fifth callable, ``reset(root)``, opts the platform into
-**warm reuse**: after :meth:`Simulator.reset
-<repro.kernel.scheduler.Simulator.reset>` has restored the kernel,
-``reset(root)`` must restore every piece of module-level state
-(memory images, component counters, latched actuators) to its
-elaboration-time value, so that running the next spec on the reused
-platform is bit-for-bit identical to running it on a fresh build.
-Bundles without a ``reset`` hook (``resettable == False``) are rebuilt
-from scratch for every run — correct by construction, just slower.
+An optional pair, ``capture_state(root) -> state`` and
+``restore_state(root, state)``, covers every piece of module-level
+state (memory images, component counters, latched actuators).  With
+it a worker elaborates the platform once, captures kernel and module
+state right after the factory returns, and restores that capture
+before every run (**warm reuse**), and runs sharing a fault-free
+prefix fork from a capture taken at its end (**snapshot-fork**).
+Bundles without the pair (``forkable == False``), and platforms whose
+factory leaves a bare-generator process alive, are rebuilt from
+scratch for every run — correct by construction, just slower.  A
+``reset`` hook is still accepted and stored, but nothing reads it.
 
 Registration must happen at **module import time** so that worker
 processes — which re-import the registering module under ``spawn``
@@ -56,12 +58,12 @@ class PlatformBundle(_t.NamedTuple):
     description: str = ""
     #: Optional ``root -> {name: signal}``; ``None`` = nothing watched.
     trace_signals: _t.Optional[_t.Callable] = None
-    #: Optional ``root -> None`` restoring module-level state after a
-    #: kernel reset; ``None`` = not warm-reusable.
+    #: Accepted and kept readable for older callers; nothing reads it.
     reset: _t.Optional[_t.Callable] = None
     #: Optional ``root -> state`` deep-capturing module-level state at a
     #: scheduling boundary; pairs with ``restore_state`` to opt the
-    #: platform into snapshot-fork execution.  ``None`` = not forkable.
+    #: platform into warm reuse and snapshot-fork execution.  ``None`` =
+    #: rebuilt fresh for every run.
     capture_state: _t.Optional[_t.Callable] = None
     #: Optional ``(root, state) -> None`` re-seeding module-level state
     #: from a ``capture_state`` capture.  Must tolerate being applied
@@ -79,13 +81,8 @@ class PlatformBundle(_t.NamedTuple):
     reach_surface: _t.Optional[_t.Callable] = None
 
     @property
-    def resettable(self) -> bool:
-        """True when the platform opts into warm reuse."""
-        return self.reset is not None
-
-    @property
     def forkable(self) -> bool:
-        """True when the platform opts into snapshot-fork execution."""
+        """True when the platform opts into warm reuse and fork."""
         return self.capture_state is not None and self.restore_state is not None
 
 
@@ -113,7 +110,8 @@ def register_platform(
 
     Re-registering an existing name requires ``replace=True`` — silent
     shadowing would make parent and worker processes disagree about
-    what a key means.
+    what a key means.  *reset* is accepted and stored so older callers
+    keep working, but ignored: warm reuse needs the capture pair.
     """
     if name in _REGISTRY and not replace:
         raise ValueError(

@@ -67,23 +67,14 @@ def build_unpicklable_spec(scenario):
     )
 
 
-def register_without_reset(factory, observe, classifier_factory):
-    register_platform(  # VP009: no reset= hook, no pragma rationale
-        "corpus-unresettable", factory, observe, classifier_factory,
+def register_without_capture_hooks(factory, observe, classifier_factory):
+    register_platform(  # VP009: no capture_state= hook, no pragma rationale
+        "corpus-uncaptured", factory, observe, classifier_factory,
     )
 
 
 def bail_out_of_the_campaign():
     sys.exit(3)  # VP010
-
-
-def register_without_snapshot_hooks(
-    factory, observe, classifier_factory, reset
-):
-    register_platform(  # VP011: reset= without capture_state=
-        "corpus-forkless", factory, observe, classifier_factory,
-        reset=reset,
-    )
 
 
 def hand_rolled_execution(specs, target, endpoint):

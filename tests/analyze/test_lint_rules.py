@@ -146,37 +146,29 @@ def test_vp008_lambda_in_runspec():
     assert lint_snippet("spec = RunSpec(index=0, golden=None)\n") == []
 
 
-def test_vp009_registration_without_reset():
+def test_vp009_registration_without_capture_state():
     findings = lint_snippet(
         "register_platform('p', build, observe, classify)\n"
     )
     assert codes(findings) == ["VP009"]
     assert findings[0].severity == WARNING
-    assert "VP009" not in codes(lint_snippet(
+    # A reset= hook alone no longer buys warm reuse: nothing reads it.
+    assert codes(lint_snippet(
         "register_platform('p', build, observe, classify, reset=warm)\n"
-    ))
+    )) == ["VP009"]
+    assert lint_snippet(
+        "register_platform('p', build, observe, classify, "
+        "capture_state=cap, restore_state=rest)\n"
+    ) == []
+    assert lint_snippet(
+        "register_platform('p', build, observe, classify, 'doc', "
+        "signals, None, cap, rest)\n"
+    ) == []
 
 
 def test_vp010_process_exit():
     assert codes(lint_snippet("os._exit(1)\n")) == ["VP010"]
     assert codes(lint_snippet("sys.exit(0)\n")) == ["VP010"]
-
-
-def test_vp011_registration_without_snapshot_hooks():
-    findings = lint_snippet(
-        "register_platform('p', build, observe, classify, reset=warm)\n"
-    )
-    assert codes(findings) == ["VP011"]
-    assert findings[0].severity == WARNING
-    assert lint_snippet(
-        "register_platform('p', build, observe, classify, reset=warm, "
-        "capture_state=cap, restore_state=rest)\n"
-    ) == []
-    # Without a reset hook the registration is VP009's concern, not
-    # VP011's — a fresh-build platform is never fork-eligible anyway.
-    assert "VP011" not in codes(lint_snippet(
-        "register_platform('p', build, observe, classify)\n"
-    ))
 
 
 def test_vp012_numpy_global_rng():

@@ -1,15 +1,18 @@
 """Warm-platform reuse must be invisible in campaign results.
 
 The tentpole contract of the warm-reuse fast path: a campaign that
-keeps one platform per worker and restores it with the reset protocol
-(``Simulator.reset`` + the bundle ``reset`` hook) produces outcomes,
-digests, and checkpoint journals **byte-identical** to one that
-elaborates a fresh platform for every run.  Only wall-clock fields may
-differ — they are stripped by the canonicalizers here, exactly as
+keeps one platform per worker and, before each run, restores the
+kernel snapshot and module capture (the bundle's ``capture_state``/
+``restore_state`` hooks) taken right after elaboration produces
+outcomes, digests, and checkpoint journals **byte-identical** to one
+that elaborates a fresh platform for every run.  Only wall-clock fields
+may differ — they are stripped by the canonicalizers here, exactly as
 ``TraceDigest.canonical()`` already excludes wall time.
 """
 
+import contextlib
 import json
+import random
 
 import pytest
 
@@ -21,7 +24,14 @@ from repro.core.runspec import (
     execute_runspec,
 )
 from repro.core.scenario import FaultSpace
-from repro.faults import FaultDescriptor, FaultKind, Persistence, SRAM_SEU
+from repro.faults import (
+    SENSOR_OFFSET_DRIFT,
+    SENSOR_STUCK,
+    SRAM_SEU,
+    FaultDescriptor,
+    FaultKind,
+    Persistence,
+)
 from repro.kernel import Simulator, simtime
 from repro.platforms import airbag, registry
 
@@ -41,6 +51,27 @@ def _fresh_warm_cache():
     clear_warm_platforms()
     yield
     clear_warm_platforms()
+
+
+@contextlib.contextmanager
+def reregistered(key, **changes):
+    """*key* re-registered (``replace=True``) with *changes* for the
+    duration of the block, then restored."""
+    original = registry.get_platform(key)
+    registry.register_platform(*original._replace(**changes), replace=True)
+    try:
+        yield
+    finally:
+        registry.register_platform(*original, replace=True)
+
+
+def counting(factory, built):
+    """*factory*, recording in *built* every kernel it elaborates into."""
+    def build(sim):
+        built.append(sim)
+        return factory(sim)
+
+    return build
 
 
 def airbag_campaign(seed=7):
@@ -65,7 +96,7 @@ def canonical_records(result):
 
     ``kernel_stats`` participates minus ``wall_s`` — the event /
     process-step / delta-cycle counters must match exactly (a warm
-    kernel that schedules even one extra delta cycle is a reset-protocol
+    kernel that schedules even one extra delta cycle is a state-protocol
     bug), but wall clock never can.
     """
     rows = []
@@ -99,6 +130,21 @@ def canonical_journal(path):
     return rows
 
 
+def outcome_row(outcome):
+    """One ``RunOutcome``'s simulation-deterministic content."""
+    stats = dict(outcome.kernel_stats)
+    stats.pop("wall_s", None)
+    return (
+        outcome.index,
+        outcome.outcome,
+        outcome.matched_rules,
+        tuple(sorted(outcome.observation.items())),
+        outcome.injections_applied,
+        tuple(sorted(stats.items())),
+        outcome.stressor_errors,
+    )
+
+
 class TestWarmCampaignEquivalence:
     def test_outcomes_and_digests_byte_identical(self):
         fresh = airbag_campaign().run(
@@ -117,9 +163,10 @@ class TestWarmCampaignEquivalence:
         )
         assert not _WARM_PLATFORMS
 
-    def test_non_resettable_platform_never_caches(self):
-        assert not registry.get_platform("hostile-dut").resettable
-        assert registry.get_platform("airbag-normal").resettable
+    def test_unforkable_platform_never_caches(self):
+        assert not registry.get_platform("hostile-dut").forkable
+        assert registry.get_platform("airbag-normal").forkable
+        assert registry.get_platform("steering").forkable
 
     def test_journals_byte_identical(self, tmp_path):
         fresh_path = tmp_path / "fresh.jsonl"
@@ -171,27 +218,30 @@ class TestWarmRunspecProtocol:
     def _bundle(self):
         return registry.get_platform("airbag-normal")
 
+    def _hooks(self, bundle):
+        return {
+            "capture_state": bundle.capture_state,
+            "restore_state": bundle.restore_state,
+        }
+
     def test_platform_elaborated_once_and_reused(self):
         bundle = self._bundle()
         built = []
-
-        def counting_factory(sim):
-            built.append(sim)
-            return bundle.factory(sim)
-
+        counting_factory = counting(bundle.factory, built)
         classifier = bundle.classifier_factory()
         for index in range(3):
             execute_runspec(
                 self._spec(index=index), counting_factory, bundle.observe,
-                classifier, reset=bundle.reset,
+                classifier, **self._hooks(bundle),
             )
         assert len(built) == 1
         assert "airbag-normal" in _WARM_PLATFORMS
 
     def test_timeout_interrupted_platform_stays_warm_and_equivalent(self):
         """A run cut off by its wall-clock deadline leaves the platform
-        mid-flight; the reset protocol must still restore it — the next
-        run on the interrupted platform matches a fresh-build run."""
+        mid-flight; restoring the elaboration capture must still return
+        it to its start state — the next run on the interrupted
+        platform matches a fresh-build run."""
         bundle = self._bundle()
         classifier = bundle.classifier_factory()
 
@@ -202,14 +252,14 @@ class TestWarmRunspecProtocol:
 
         timed_out = execute_runspec(
             self._spec(index=0, deadline_s=1e-6),
-            bundle.factory, bundle.observe, classifier, reset=bundle.reset,
+            bundle.factory, bundle.observe, classifier, **self._hooks(bundle),
         )
         assert timed_out.failure == "timeout"
         assert "airbag-normal" in _WARM_PLATFORMS  # kept, not discarded
 
         warm = execute_runspec(
             self._spec(index=1),
-            bundle.factory, bundle.observe, classifier, reset=bundle.reset,
+            bundle.factory, bundle.observe, classifier, **self._hooks(bundle),
         )
         fresh_stats = {
             k: v for k, v in fresh.kernel_stats.items() if k != "wall_s"
@@ -224,14 +274,16 @@ class TestWarmRunspecProtocol:
 
     def test_raising_run_discards_the_warm_entry(self):
         """Unwinding with the platform in an unknown mid-run state must
-        not trust the reset protocol: the cache entry is dropped and
+        not trust a restore to repair it: the cache entry is dropped and
         the next run re-elaborates."""
         bundle = self._bundle()
+        built = []
+        counting_factory = counting(bundle.factory, built)
         classifier = bundle.classifier_factory()
 
         execute_runspec(
-            self._spec(index=0), bundle.factory, bundle.observe,
-            classifier, reset=bundle.reset,
+            self._spec(index=0), counting_factory, bundle.observe,
+            classifier, **self._hooks(bundle),
         )
         assert "airbag-normal" in _WARM_PLATFORMS
 
@@ -240,19 +292,137 @@ class TestWarmRunspecProtocol:
 
         with pytest.raises(RuntimeError):
             execute_runspec(
-                self._spec(index=1), bundle.factory, raising_observe,
-                classifier, reset=bundle.reset,
+                self._spec(index=1), counting_factory, raising_observe,
+                classifier, **self._hooks(bundle),
             )
         assert "airbag-normal" not in _WARM_PLATFORMS
 
-        built = []
-
-        def counting_factory(sim):
-            built.append(sim)
-            return bundle.factory(sim)
-
         execute_runspec(
             self._spec(index=2), counting_factory, bundle.observe,
-            classifier, reset=bundle.reset,
+            classifier, **self._hooks(bundle),
         )
-        assert len(built) == 1  # re-elaborated after the discard
+        assert len(built) == 2  # re-elaborated after the discard
+
+
+class TestWarmEligibility:
+    """Which platforms reuse a warm build: exactly those whose bundle
+    has ``capture_state``/``restore_state`` and whose elaboration a
+    strict snapshot can capture."""
+
+    def test_steering_is_warm_and_byte_identical(self, tmp_path):
+        bundle = registry.get_platform("steering")
+        space = FaultSpace(
+            bundle.factory(Simulator()),
+            [SENSOR_OFFSET_DRIFT, SENSOR_STUCK],
+            window_start=simtime.ms(5),
+            window_end=simtime.ms(35),
+            time_bins=2,
+        )
+        built = []
+
+        def run(reuse, path):
+            campaign = Campaign(
+                duration=simtime.ms(40), seed=11, platform="steering"
+            )
+            campaign.golden()
+            campaign.golden_signals()
+            before = len(built)
+            result = campaign.run(
+                RandomStrategy(space, faults_per_scenario=2), runs=12,
+                batch_size=4, trace=True, checkpoint=str(path),
+                reuse_platform=reuse,
+            )
+            return result, len(built) - before
+
+        with reregistered(
+            "steering", factory=counting(bundle.factory, built)
+        ):
+            fresh, fresh_builds = run(False, tmp_path / "fresh.jsonl")
+            warm, warm_builds = run(True, tmp_path / "warm.jsonl")
+        assert (fresh_builds, warm_builds) == (12, 1)
+        assert canonical_records(warm) == canonical_records(fresh)
+        assert canonical_journal(tmp_path / "warm.jsonl") == (
+            canonical_journal(tmp_path / "fresh.jsonl")
+        )
+
+    def test_reset_only_registration_builds_fresh(self):
+        """A bare ``reset=`` hook is accepted but no longer buys warm
+        reuse: without the capture pair every run elaborates."""
+        bundle = registry.get_platform("airbag-normal")
+        built = []
+        with reregistered(
+            "airbag-normal",
+            factory=counting(bundle.factory, built),
+            reset=lambda root: None,
+            capture_state=None,
+            restore_state=None,
+        ):
+            campaign = airbag_campaign()
+            campaign.golden()
+            before = len(built)
+            campaign.run(airbag_strategy(), runs=4)
+            assert len(built) - before == 4
+        assert "airbag-normal" not in _WARM_PLATFORMS
+
+    def test_bare_generator_platform_builds_fresh(self):
+        """Hooks alone are not enough: a factory that leaves a
+        bare-generator process alive cannot be snapshotted strictly, so
+        every run builds fresh — and matches a fresh build, where a
+        lenient capture would have dropped the process from warm runs."""
+        bundle = registry.get_platform("airbag-normal")
+        built = []
+
+        def bumping_factory(sim):
+            built.append(sim)
+            root = bundle.factory(sim)
+
+            def bump():
+                yield simtime.ms(2)
+                root.ecu.plausibility_rejects += 1
+
+            root.process(bump(), name="bump")
+            return root
+
+        golden = airbag_campaign().golden()
+        classifier = bundle.classifier_factory()
+        outcomes = {}
+        for reuse in (True, False):
+            outcomes[reuse] = [
+                execute_runspec(
+                    RunSpec(
+                        index=index, scenario=scenario, run_seed=index,
+                        duration=DURATION, platform="airbag-normal",
+                        golden=golden, reuse_platform=reuse,
+                    ),
+                    bumping_factory, bundle.observe, classifier,
+                    capture_state=bundle.capture_state,
+                    restore_state=bundle.restore_state,
+                )
+                for index, scenario in enumerate(
+                    airbag_strategy().next_batch(random.Random(3), 3)
+                )
+            ]
+        assert len(built) == 6
+        assert "airbag-normal" not in _WARM_PLATFORMS
+        assert all(o.observation["detected"] >= 1 for o in outcomes[True])
+        assert [outcome_row(o) for o in outcomes[True]] == [
+            outcome_row(o) for o in outcomes[False]
+        ]
+
+    def test_reregistered_platform_does_not_run_the_old_warm_build(self):
+        """``register_platform(..., replace=True)`` must not leave the
+        warm cache serving what the old factory built."""
+        airbag_campaign().run(airbag_strategy(), runs=2)
+        assert "airbag-normal" in _WARM_PLATFORMS
+
+        def crash_early(sim):
+            return airbag.AirbagPlatform(sim, crash_at=simtime.ms(5))
+
+        with reregistered("airbag-normal", factory=crash_early):
+            replaced = airbag_campaign().run(airbag_strategy(), runs=4)
+            clear_warm_platforms()
+            fresh = airbag_campaign().run(
+                airbag_strategy(), runs=4, reuse_platform=False,
+            )
+        assert all(r.observation["squib_fired"] for r in replaced.records)
+        assert canonical_records(replaced) == canonical_records(fresh)

@@ -166,9 +166,8 @@ class TestWarmResetWrappers:
         dirty run, reset == restore(elab snapshot) + cleared hooks."""
         sim = Simulator()
         _, out = build_counter(sim)
-        sim.snapshot_elaboration()
-        assert isinstance(sim._elab_snapshot, KernelState)
         sim.run(until=200)
+        assert isinstance(sim._elab_snapshot, KernelState)
         sim.delta_hooks.append(lambda _sim: None)
         sim.reset()
         assert sim.now == 0

@@ -2,13 +2,14 @@
 
 For *any* sequence of scenarios — arbitrary injection targets, fault
 descriptors, injection times, and run seeds — pushing the whole
-sequence through **one** warm platform (reset between runs) must
+sequence through **one** warm platform (its elaboration capture
+restored between runs) must
 produce the same :class:`~repro.core.runspec.RunOutcome` content and
 the same :class:`~repro.observe.digest.TraceDigest` bytes as running
 each scenario on its own freshly elaborated platform.  This is the
 generative version of the example-based fresh-vs-warm tests in
 ``tests/core/test_warm_equivalence.py``: hypothesis searches the
-scenario space for any state the reset protocol fails to restore.
+scenario space for any state the capture fails to restore.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -102,7 +103,7 @@ def _outcome_bytes(outcome):
     )
 
 
-def _execute(sequence, reset):
+def _execute(sequence, warm):
     outcomes = []
     for index, (scenario, run_seed) in enumerate(sequence):
         spec = RunSpec(
@@ -113,12 +114,13 @@ def _execute(sequence, reset):
             platform="airbag-normal",
             golden=_GOLDEN,
             trace=_TRACE,
-            reuse_platform=reset is not None,
+            reuse_platform=warm,
         )
         outcomes.append(
             execute_runspec(
                 spec, _BUNDLE.factory, _BUNDLE.observe, _CLASSIFIER,
-                reset=reset,
+                capture_state=_BUNDLE.capture_state,
+                restore_state=_BUNDLE.restore_state,
             )
         )
     return outcomes
@@ -130,10 +132,10 @@ class TestWarmReuseProperty:
     def test_one_warm_platform_equals_n_fresh_platforms(self, sequence):
         clear_warm_platforms()
         try:
-            warm = _execute(sequence, reset=_BUNDLE.reset)
+            warm = _execute(sequence, warm=True)
         finally:
             clear_warm_platforms()
-        fresh = _execute(sequence, reset=None)
+        fresh = _execute(sequence, warm=False)
         assert [_outcome_bytes(o) for o in warm] == [
             _outcome_bytes(o) for o in fresh
         ]
