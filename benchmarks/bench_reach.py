@@ -60,7 +60,7 @@ def build_islanded(sim):
     return platform
 
 
-registry.register_platform(  # vp-lint: disable=VP009 - bench variant; one-shot runs never reuse a warm build
+registry.register_platform(
     ISLANDED_KEY,
     build_islanded,
     airbag.observe,

@@ -86,7 +86,7 @@ def make_classifier():
 # Registering the platform by name is what lets parallel workers
 # rebuild it in their own processes; registration must run at import
 # time so spawned workers see it too.
-register_platform(  # vp-lint: disable=VP009 - tutorial platform, kept minimal; fresh build per run is the point being taught
+register_platform(
     "quickstart-dma", build_platform, observe, make_classifier,
     description="ECC RAM -> plain RAM copier from the quickstart",
 )
@@ -193,13 +193,14 @@ def main() -> None:
     assert len(traced.digests()) == traced.runs
 
     # Snapshot-fork execution.  The quickstart DMA platform is
-    # deliberately *not* fork-capable (its copier keeps state in a
+    # deliberately *not* fork-capable (its top is a plain Module that
+    # declares no STATE_FIELDS, and its copier keeps state in a
     # generator local, which a mid-run restore cannot rebuild), so
-    # this demo uses the built-in airbag platform, whose registry
-    # bundle provides capture_state/restore_state hooks.  Pinning
-    # every scenario's injection at 50 of 60 ms makes the whole batch
-    # one fork group: ~83% of every run is shared prefix, simulated
-    # once instead of 32 times.
+    # this demo uses the built-in airbag platform, whose components
+    # all declare their STATE_FIELDS.  Pinning every scenario's
+    # injection at 50 of 60 ms makes the whole batch one fork group:
+    # ~83% of every run is shared prefix, simulated once instead of 32
+    # times.
     class LateInjectionStrategy(RandomStrategy):
         """Random fault draws at one fixed (late) injection time."""
 

@@ -470,43 +470,84 @@ class UnpicklableRunSpecPayload(Rule):
                     break
 
 
+def _declared_fields(cls: ast.ClassDef) -> _t.Optional[_t.Set[str]]:
+    """The names *cls* lists in its own ``STATE_FIELDS`` literal, or
+    ``None`` when it declares none (or not as a literal)."""
+    for stmt in cls.body:
+        targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+        if any(getattr(t, "id", None) == "STATE_FIELDS" for t in targets):
+            try:
+                return set(ast.literal_eval(stmt.value))
+            except (TypeError, ValueError):
+                return None
+    return None
+
+
 @rule
-class UncapturedRegistration(Rule):
-    """A platform registered without ``capture_state``/``restore_state``
-    hooks is rebuilt from scratch for every run — correct, but it
-    silently forfeits warm reuse and snapshot-fork execution, which
-    both restore a captured state.  Declare the choice: provide the
-    hooks, or pragma the registration with the reason it must stay
-    fresh-build.  A ``reset=`` hook does not count; nothing reads it."""
+class UndeclaredStateField(Rule):
+    """A class that declares ``STATE_FIELDS`` promises that those are
+    all the attributes a run changes: warm reuse and snapshot-fork
+    restore exactly the declared fields.  An attribute rebound outside
+    ``__init__`` but missing from the declaration keeps whatever the
+    previous run left there, so a warm run silently differs from a
+    fresh one.  Fields declared by an ancestor class in the same file
+    count; declare the field, or pragma the line with why it is not
+    run state."""
 
     code = "VP009"
-    name = "uncaptured-registration"
+    name = "undeclared-state-field"
     severity = WARNING
     summary = (
-        "register_platform(...) without capture_state=; platform "
-        "silently forfeits warm reuse and snapshot-fork execution"
+        "self.<attr> rebound outside __init__ in a class whose "
+        "STATE_FIELDS omit it; warm and forked runs would inherit it"
     )
 
-    #: capture_state is the 8th positional parameter of register_platform.
-    _CAPTURE_POSITION = 8
-
     def check_node(self, node, ctx):
-        if not isinstance(node, ast.Call):
+        if not isinstance(node, ast.ClassDef):
             return
-        if _call_name(node) != "register_platform":
+        declared = _declared_fields(node)
+        if declared is None:
             return
-        if len(node.args) >= self._CAPTURE_POSITION:
-            return
-        if any(kw.arg == "capture_state" for kw in node.keywords):
-            return
-        yield self.finding(
-            node, ctx,
-            "register_platform(...) without capture_state= — the "
-            "platform is rebuilt for every run and never forks; add "
-            "capture_state=/restore_state= hooks covering its module "
-            "state, or pragma this line with why it must stay "
-            "fresh-build",
-        )
+        classes = {
+            cls.name: cls for cls in ast.walk(ctx.tree)
+            if isinstance(cls, ast.ClassDef)
+        }
+        pending, seen = list(node.bases), {node.name}
+        while pending:
+            name = getattr(pending.pop(), "id", None)
+            if name in classes and name not in seen:
+                seen.add(name)
+                declared |= _declared_fields(classes[name]) or set()
+                pending.extend(classes[name].bases)
+        for method in node.body:
+            if (
+                not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or method.name == "__init__"
+                or not method.args.args
+                or any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in method.decorator_list
+                )
+            ):
+                continue
+            receiver = method.args.args[0].arg
+            for target in ast.walk(method):
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.ctx, ast.Store)
+                    and getattr(target.value, "id", None) == receiver
+                    and target.attr not in declared
+                ):
+                    yield self.finding(
+                        target, ctx,
+                        f"{node.name}.{method.name} rebinds "
+                        f"{receiver}.{target.attr}, which "
+                        f"{node.name}.STATE_FIELDS does not declare — "
+                        f"warm and forked runs restore only declared "
+                        f"fields, so they would start from the previous "
+                        f"run's value; declare it, or pragma why it is "
+                        f"not run state",
+                    )
 
 
 @rule

@@ -304,18 +304,10 @@ class Campaign:
     ):
         if duration <= 0:
             raise ValueError("campaign run duration must be positive")
-        capture_state: _t.Optional[_t.Callable] = None
-        restore_state: _t.Optional[_t.Callable] = None
         if platform is not None:
             from ..platforms import registry
 
             bundle = registry.get_platform(platform)
-            if platform_factory is None:
-                # The state hooks belong to the bundle's own factory; a
-                # caller-supplied factory may build something they do
-                # not know how to capture or restore.
-                capture_state = bundle.capture_state
-                restore_state = bundle.restore_state
             platform_factory = platform_factory or bundle.factory
             observe = observe or bundle.observe
             classifier = classifier or bundle.classifier_factory()
@@ -327,8 +319,6 @@ class Campaign:
         self.platform_factory = platform_factory
         self.observe = observe
         self.classifier = classifier
-        self.capture_state = capture_state
-        self.restore_state = restore_state
         self.duration = duration
         self.seed = seed
         self.platform = platform
@@ -395,6 +385,7 @@ class Campaign:
             duration=self.duration,
             platform=self.platform,
             golden=self.golden(),
+            reuse_platform=False,
         )
         from .runspec import execute_runspec
 
@@ -530,8 +521,8 @@ class Campaign:
         ``reuse_platform`` (default True) lets each worker keep one
         warm platform per registry key and, instead of rebuilding,
         restore before each run the kernel snapshot and module capture
-        (the bundle's ``capture_state``/``restore_state`` hooks) taken
-        at elaboration — outcomes are bit-for-bit identical either way
+        (derived from the components' ``STATE_FIELDS``) taken at
+        elaboration — outcomes are bit-for-bit identical either way
         (equivalence-tested), so the knob exists only for A/B
         measurement and debugging.
         ``chunk_size`` overrides the parallel executor's per-future
@@ -543,8 +534,8 @@ class Campaign:
         are grouped *within each batch*, their fault-free prefix is
         simulated once, and every run in the group forks from a
         mid-run kernel snapshot (:meth:`Simulator.snapshot`).  Requires
-        the platform bundle's ``capture_state``/``restore_state``
-        hooks; anything ineligible silently takes the per-run path.
+        a platform whose modules all declare ``STATE_FIELDS``; anything
+        ineligible silently takes the per-run path.
         Outcomes are bit-for-bit identical either way
         (equivalence-tested), so like ``reuse_platform`` the knob is
         excluded from the checkpoint identity.  Note the serial
@@ -588,8 +579,6 @@ class Campaign:
             workers=workers,
             retry=RetryPolicy(max_retries, retry_backoff_s),
             hard_timeout_s=hard_timeout_s,
-            capture_state=self.capture_state,
-            restore_state=self.restore_state,
             chunk_size=chunk_size,
             telemetry=telemetry,
         )

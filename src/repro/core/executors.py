@@ -145,14 +145,13 @@ class SerialExecutor(Executor):
     """In-process execution — the reference backend.
 
     Built either from explicit callables (any campaign, including ones
-    whose factories are closures) or from a registry key.
-    ``capture_state``/``restore_state`` are the platform bundle's state
-    hooks.  With them, runs that permit ``reuse_platform`` execute on
-    one warm platform, restored to its elaboration capture before each
-    run instead of re-elaborated, and fork-mode specs
-    (``RunSpec.fork``) sharing a platform and injection time run as
-    snapshot-fork groups — one shared prefix, N forked suffixes — with
-    per-run fallback whenever a group cannot fork.
+    whose factories are closures) or from a registry key.  Runs that
+    permit ``reuse_platform`` on a capturable platform execute on one
+    warm platform, restored to its elaboration capture before each run
+    instead of re-elaborated, and fork-mode specs (``RunSpec.fork``)
+    sharing a platform and injection time run as snapshot-fork groups —
+    one shared prefix, N forked suffixes — with per-run fallback
+    whenever a group cannot fork.
     """
 
     def __init__(
@@ -160,30 +159,22 @@ class SerialExecutor(Executor):
         factory: "_t.Callable[[Simulator], Module]",
         observe: "_t.Callable[[Module], RunObservation]",
         classifier: "Classifier",
-        capture_state: _t.Optional[_t.Callable] = None,
-        restore_state: _t.Optional[_t.Callable] = None,
     ):
         self.factory = factory
         self.observe = observe
         self.classifier = classifier
-        self.capture_state = capture_state
-        self.restore_state = restore_state
 
     def _run_one(self, spec: RunSpec) -> RunOutcome:
         try:
             return execute_runspec(
-                spec, self.factory, self.observe, self.classifier,
-                capture_state=self.capture_state,
-                restore_state=self.restore_state,
+                spec, self.factory, self.observe, self.classifier
             )
         except Exception as exc:  # noqa: BLE001 - degraded to a record  # vp-lint: disable=VP007 - deadlines degrade to TIMEOUT inside execute_runspec; nothing to re-raise here
             return error_outcome(spec, exc)
 
     def _run_group(self, specs: _t.Sequence[RunSpec]) -> _t.List[RunOutcome]:
         return execute_fork_group(
-            specs, self.factory, self.observe, self.classifier,
-            capture_state=self.capture_state,
-            restore_state=self.restore_state,
+            specs, self.factory, self.observe, self.classifier
         )
 
     def run_batch(self, specs: _t.Sequence[RunSpec]) -> _t.List[RunOutcome]:
@@ -567,15 +558,11 @@ def registered_backends() -> _t.Tuple[str, ...]:
 
 
 def _build_serial(
-    *, factory=None, observe=None, classifier=None,
-    capture_state=None, restore_state=None, **_unused,
+    *, factory=None, observe=None, classifier=None, **_unused,
 ) -> Executor:
     if factory is None or observe is None or classifier is None:
         raise ValueError("serial backend needs factory/observe/classifier")
-    return SerialExecutor(
-        factory, observe, classifier,
-        capture_state=capture_state, restore_state=restore_state,
-    )
+    return SerialExecutor(factory, observe, classifier)
 
 
 def _build_parallel(
@@ -637,8 +624,6 @@ def make_executor(
     workers: _t.Optional[int] = None,
     retry: _t.Optional[RetryPolicy] = None,
     hard_timeout_s: _t.Optional[float] = None,
-    capture_state=None,
-    restore_state=None,
     chunk_size: _t.Optional[int] = None,
     telemetry=None,
 ) -> _t.Tuple[Executor, bool]:
@@ -674,8 +659,6 @@ def make_executor(
         workers=workers,
         retry=retry,
         hard_timeout_s=hard_timeout_s,
-        capture_state=capture_state,
-        restore_state=restore_state,
         chunk_size=chunk_size,
         telemetry=telemetry,
     )

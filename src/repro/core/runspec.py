@@ -71,9 +71,9 @@ class RunSpec:
     and embeds it here so every worker traces identically.
 
     ``reuse_platform`` lets the executing side keep a warm platform
-    between runs when the platform bundle has ``capture_state``/
-    ``restore_state`` hooks; ``False`` forces a fresh build for every
-    run.  Reuse never changes simulation content (that equivalence is
+    between runs when every module of the platform declares its
+    ``STATE_FIELDS``; ``False`` forces a fresh build for every run.
+    Reuse never changes simulation content (that equivalence is
     test-pinned), so the flag is not part of the checkpoint identity.
 
     ``fork`` opts the run into **snapshot-fork execution**: the
@@ -83,9 +83,9 @@ class RunSpec:
     group from the captured state.  Like ``reuse_platform`` it is an
     execution strategy, not simulation content — fork-vs-fresh
     equivalence is test-pinned — so it is likewise excluded from the
-    checkpoint identity.  Platforms opt in through the registry
-    bundle's ``capture_state``/``restore_state`` hooks; anything else
-    silently falls back to per-run execution.
+    checkpoint identity.  Platforms opt in by declaring their modules'
+    ``STATE_FIELDS``; anything else silently falls back to per-run
+    execution.
     """
 
     index: int
@@ -472,21 +472,21 @@ def _drop_warm(key: _t.Optional[str], sim: Simulator) -> None:
 def _acquire_platform(
     spec: RunSpec,
     factory: "_t.Callable[[Simulator], Module]",
-    capture_state: _t.Optional[_t.Callable],
-    restore_state: _t.Optional[_t.Callable],
     kernel_factory: _t.Optional[_t.Callable[[], Simulator]] = None,
 ) -> _t.Tuple[Simulator, "Module", bool]:
     """``(sim, root, warm)`` to run *spec* on.
 
-    The warm path engages when the spec allows reuse, carries a
-    platform key, and the caller supplied the bundle's
-    ``capture_state``/``restore_state`` hooks.  A miss elaborates and
-    caches the platform with a strict :meth:`Simulator.snapshot` and a
-    module capture taken before any per-run scaffolding is armed; a hit
-    from the same factory restores that pair.  A key re-registered with
-    another factory therefore misses, and a platform whose elaboration
-    leaves a bare-generator process alive (which a lenient snapshot
-    would silently drop from every warm run) builds fresh every time.
+    The warm path engages when the spec allows reuse and carries a
+    platform key.  A miss elaborates and caches the platform with a
+    module capture (:meth:`Module.capture_state`) and a strict
+    :meth:`Simulator.snapshot`, both taken before any per-run
+    scaffolding is armed; a hit from the same factory restores that
+    pair.  A key re-registered with another factory — or a
+    caller-supplied factory sharing a key — therefore misses.  A
+    platform with an undeclared module fails its module capture, and
+    one whose elaboration leaves a bare-generator process alive (which
+    a lenient snapshot would silently drop from every warm run) fails
+    the strict snapshot: either builds fresh every time.
 
     A non-default *kernel_factory* (instrumented kernels: the
     order-sensitivity checker's shuffled scheduler) forces the fresh
@@ -494,13 +494,7 @@ def _acquire_platform(
     platform other runs would silently inherit.
     """
     key = spec.platform
-    if (
-        kernel_factory is None
-        and capture_state is not None
-        and restore_state is not None
-        and spec.reuse_platform
-        and key
-    ):
+    if kernel_factory is None and spec.reuse_platform and key:
         entry = _WARM_PLATFORMS.get(key)
         if entry is not None and entry.factory is factory:
             entry.sim.restore(
@@ -510,12 +504,13 @@ def _acquire_platform(
         sim = Simulator()
         root = factory(sim)
         try:
+            module_state = root.capture_state()
             kernel_state = sim.snapshot()
         except SnapshotUnsupported:
             return sim, root, False
         _WARM_PLATFORMS[key] = _WarmPlatform(
             factory, sim, root, kernel_state,
-            functools.partial(restore_state, root, capture_state(root)),
+            functools.partial(root.restore_state, module_state),
         )
         return sim, root, True
     sim = Simulator() if kernel_factory is None else kernel_factory()
@@ -646,18 +641,15 @@ def execute_runspec(
     classifier: Classifier,
     golden: _t.Optional[RunObservation] = None,
     trace_signals: _t.Optional[_t.Callable] = None,
-    capture_state: _t.Optional[_t.Callable] = None,
-    restore_state: _t.Optional[_t.Callable] = None,
     kernel_factory: _t.Optional[_t.Callable[[], Simulator]] = None,
 ) -> RunOutcome:
     """Execute one spec and classify the result.
 
-    *capture_state*/*restore_state* are the platform bundle's state
-    hooks; passing them (for a spec that permits ``reuse_platform``)
-    lets this routine keep the elaborated platform between calls,
-    restoring its elaboration capture instead of rebuilding (see
-    :func:`_acquire_platform`).  Without them every call builds a
-    fresh kernel and platform — semantically identical, just slower.
+    A spec that permits ``reuse_platform`` keeps the elaborated
+    platform between calls, restoring its elaboration capture instead
+    of rebuilding, whenever the platform can be captured (see
+    :func:`_acquire_platform`); otherwise every call builds a fresh
+    kernel and platform — semantically identical, just slower.
 
     *kernel_factory* (default: plain :class:`Simulator`) builds the
     kernel for the fresh path — diagnostic harnesses pass an
@@ -670,9 +662,7 @@ def execute_runspec(
     executors need no shared state.
     """
     wall_start = time.perf_counter()  # vp-lint: disable=VP005 - wall_s accounting, not model behavior
-    sim, root, warm = _acquire_platform(
-        spec, factory, capture_state, restore_state, kernel_factory
-    )
+    sim, root, warm = _acquire_platform(spec, factory, kernel_factory)
     return _run(
         spec, sim, root, observe, classifier, golden, trace_signals,
         wall_start, outlives=warm,
@@ -696,11 +686,7 @@ def execute_runspec_from_registry(spec: RunSpec) -> RunOutcome:
 
     bundle = registry.get_platform(spec.platform)
     classifier = registry.get_classifier(spec.platform)
-    return execute_runspec(
-        spec, bundle.factory, bundle.observe, classifier,
-        capture_state=bundle.capture_state,
-        restore_state=bundle.restore_state,
-    )
+    return execute_runspec(spec, bundle.factory, bundle.observe, classifier)
 
 
 # -- snapshot-fork execution -------------------------------------------------
@@ -774,32 +760,25 @@ def execute_fork_group(
     classifier: Classifier,
     golden: _t.Optional[RunObservation] = None,
     trace_signals: _t.Optional[_t.Callable] = None,
-    capture_state: _t.Optional[_t.Callable] = None,
-    restore_state: _t.Optional[_t.Callable] = None,
 ) -> _t.List[RunOutcome]:
     """Execute a fork group: one shared prefix, N forked runs.
 
     All *specs* must share a platform and fork time (as produced by
     :func:`fork_groups`).  The fault-free prefix ``[0, t1-1]`` is
     simulated once on the platform :func:`_acquire_platform` hands out
-    (the warm one when the lead spec allows reuse);
-    :meth:`Simulator.snapshot` plus the platform's ``capture_state``
-    hook then pin the boundary, and each spec runs the suffix through
-    :func:`_run` from a restore of that capture.  Every result record
-    — outcome, observation, kernel counters (minus wall clock), digest
-    — is byte-identical to per-run execution; that equivalence is
-    property-test pinned.  A member that raises comes back as the same
+    (the warm one when the lead spec allows reuse); a module capture
+    plus :meth:`Simulator.snapshot` then pin the boundary, and each
+    spec runs the suffix through :func:`_run` from a restore of that
+    capture.  Every result record — outcome, observation, kernel
+    counters (minus wall clock), digest — is byte-identical to per-run
+    execution; that equivalence is property-test pinned.  A member that raises comes back as the same
     terminal record the tolerant per-run path emits.
 
-    Raises :class:`ForkUnsupported` when the platform lacks snapshot
-    hooks, holds bare-generator processes, or the prefix itself fails —
-    callers fall back to per-run execution, which reproduces any
-    prefix failure verbatim in each run's own record.
+    Raises :class:`ForkUnsupported` when the platform holds an
+    undeclared module or a bare-generator process, or the prefix itself
+    fails — callers fall back to per-run execution, which reproduces
+    any prefix failure verbatim in each run's own record.
     """
-    if capture_state is None or restore_state is None:
-        raise ForkUnsupported(
-            "platform has no capture_state/restore_state hooks"
-        )
     t1 = fork_time(specs[0])
     if t1 is None:
         raise ForkUnsupported("lead spec has no fork point")
@@ -810,9 +789,7 @@ def execute_fork_group(
                 "(platform, fork_time); use fork_groups() to partition"
             )
 
-    sim, root, _warm = _acquire_platform(
-        specs[0], factory, capture_state, restore_state
-    )
+    sim, root, _warm = _acquire_platform(specs[0], factory)
 
     # Probe the tie-break counter at the end of delta cycle 0: on a
     # fresh run the stressor's injectors step *last* in that cycle (the
@@ -852,12 +829,12 @@ def execute_fork_group(
     seq_base = seq_box[0]
 
     try:
+        platform_restore = functools.partial(
+            root.restore_state, root.capture_state()
+        )
         kernel_state = sim.snapshot()
     except SnapshotUnsupported as exc:
         raise ForkUnsupported(str(exc)) from exc
-    platform_restore = functools.partial(
-        restore_state, root, capture_state(root)
-    )
     prefix_detections = (
         prefix_sink.detections if prefix_sink is not None else None
     )
@@ -897,9 +874,7 @@ def execute_fork_group_from_registry(
     bundle = registry.get_platform(spec.platform)
     classifier = registry.get_classifier(spec.platform)
     return execute_fork_group(
-        specs, bundle.factory, bundle.observe, classifier,
-        capture_state=bundle.capture_state,
-        restore_state=bundle.restore_state,
+        specs, bundle.factory, bundle.observe, classifier
     )
 
 

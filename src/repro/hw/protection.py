@@ -115,6 +115,8 @@ class RateChecker:
     bit flip in a high bit produces an impossible jump.
     """
 
+    STATE_FIELDS = ("previous", "checks", "violations")
+
     def __init__(self, name: str, max_delta: float):
         if max_delta <= 0:
             raise ValueError("max_delta must be positive")

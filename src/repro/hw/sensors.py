@@ -22,6 +22,11 @@ from ..kernel import Module, Signal
 class AnalogFault:
     """Mutable fault state of an analog front-end."""
 
+    STATE_FIELDS = (
+        "offset", "gain", "stuck_value", "open_circuit", "noise_sigma",
+        "noise_rng",
+    )
+
     def __init__(self):
         self.offset = 0.0
         self.gain = 1.0
@@ -94,6 +99,10 @@ class AdcSensor(Module):
         a noise fault is armed (keeps nominal runs deterministic).
     """
 
+    STATE_FIELDS = (
+        "fault", "rng", "samples_taken", "_cached_physical", "_cached_code",
+    )
+
     def __init__(
         self,
         name: str,
@@ -133,40 +142,6 @@ class AdcSensor(Module):
             AnalogInjectionPoint(f"{self.full_name}.frontend", self.fault),
         )
         self.process(self._sample_loop, name="sampler")
-
-    def capture_state(self) -> _t.Dict[str, _t.Any]:
-        """Deep-capture mutable run state (warm reuse, snapshot-fork)."""
-        fault = self.fault
-        return {
-            "offset": fault.offset,
-            "gain": fault.gain,
-            "stuck_value": fault.stuck_value,
-            "open_circuit": fault.open_circuit,
-            "noise_sigma": fault.noise_sigma,
-            "noise_rng": fault.noise_rng,
-            "noise_rng_state": (
-                fault.noise_rng.getstate()
-                if fault.noise_rng is not None else None
-            ),
-            "samples_taken": self.samples_taken,
-            "cached_physical": self._cached_physical,
-            "cached_code": self._cached_code,
-        }
-
-    def restore_state(self, state: _t.Mapping[str, _t.Any]) -> None:
-        """Re-seed from a :meth:`capture_state` capture (repeatable)."""
-        fault = self.fault
-        fault.offset = state["offset"]
-        fault.gain = state["gain"]
-        fault.stuck_value = state["stuck_value"]
-        fault.open_circuit = state["open_circuit"]
-        fault.noise_sigma = state["noise_sigma"]
-        fault.noise_rng = state["noise_rng"]
-        if fault.noise_rng is not None:
-            fault.noise_rng.setstate(state["noise_rng_state"])
-        self.samples_taken = state["samples_taken"]
-        self._cached_physical = state["cached_physical"]
-        self._cached_code = state["cached_code"]
 
     # -- conversion ---------------------------------------------------------
 

@@ -17,6 +17,64 @@ from .events import Event
 from .process import Process
 from .scheduler import Simulator
 from .signal import Clock, Signal, Wire
+from .state import SnapshotUnsupported
+
+#: Values a capture stores as they are (tuples and frozensets too, when
+#: every item is one of these or such a tuple).
+_SCALARS = (type(None), bool, int, float, complex, str, bytes)
+
+
+def _frozen(value) -> bool:
+    if isinstance(value, _SCALARS):
+        return True
+    if isinstance(value, (tuple, frozenset)):
+        return all(_frozen(item) for item in value)
+    return False
+
+
+def _state_fields(cls: type) -> _t.Optional[_t.Tuple[str, ...]]:
+    """The ``STATE_FIELDS`` of *cls*, accumulated along its MRO, or
+    ``None`` when *cls* itself declares none in its class body."""
+    if "STATE_FIELDS" not in vars(cls):
+        return None
+    return tuple(dict.fromkeys(
+        field for klass in reversed(cls.__mro__)
+        for field in vars(klass).get("STATE_FIELDS", ())
+    ))
+
+
+def _capture_fields(obj, owner: str, entries: list) -> None:
+    """Append ``(object, field, value, master)`` entries for every
+    field *obj* declares; *owner* names it in errors.
+
+    Attributes are read and written only through ``getattr``/``setattr``:
+    touching an instance's ``__dict__`` would materialize it and slow
+    every later attribute access on that (hot) model object.
+    """
+    fields = _state_fields(type(obj))
+    if fields is None:
+        raise SnapshotUnsupported(
+            f"{owner}: {type(obj).__name__} declares no STATE_FIELDS, so "
+            f"its state cannot be captured"
+        )
+    for field in fields:
+        value = getattr(obj, field)
+        if _frozen(value):
+            entries.append((obj, field, value, None))
+        elif type(value) is bytearray:
+            entries.append((obj, field, value, bytes(value)))
+        elif type(value) is list and all(_frozen(item) for item in value):
+            entries.append((obj, field, value, tuple(value)))
+        elif _state_fields(type(value)) is not None:
+            entries.append((obj, field, value, None))
+            _capture_fields(value, f"{owner}.{field}", entries)
+        else:
+            raise SnapshotUnsupported(
+                f"cannot capture {owner}.{field}: a "
+                f"{type(value).__name__} value is neither immutable, a "
+                f"list or bytearray of immutables, nor an object "
+                f"declaring STATE_FIELDS"
+            )
 
 
 class Module:
@@ -25,6 +83,12 @@ class Module:
     Subclasses build their children and spawn their behaviour processes
     in ``__init__`` (an ``elaborate``-style split is unnecessary in
     Python; construction order gives elaboration order).
+
+    Each subclass lists the attributes a run mutates in its own class
+    body as ``STATE_FIELDS`` (``()`` when it mutates none); fields
+    accumulate along the MRO.  Plain ``Module`` declares nothing, so a
+    subtree holding an undeclared module cannot be captured (see
+    :meth:`capture_state`) and is rebuilt for every run instead.
     """
 
     def __init__(
@@ -148,6 +212,33 @@ class Module:
             for signal in module._owned_signals:
                 sim._unregister_signal(signal)
             module._owned_signals.clear()
+
+    # -- state capture -------------------------------------------------------
+
+    def capture_state(self) -> tuple:
+        """Capture the declared state of this whole subtree.
+
+        One flat ``(object, field, value, master)`` entry per declared
+        field.  Immutable values are stored as they are; a ``list`` or
+        ``bytearray`` keeps its live object plus a *master* copy, so a
+        restore refills it in place (DMI regions alias ``Memory.data``);
+        an object declaring ``STATE_FIELDS`` itself is kept by identity
+        and captured recursively.  Anything else, or an undeclared
+        module, raises :class:`~repro.kernel.state.SnapshotUnsupported`
+        naming the module and field.
+        """
+        entries: list = []
+        for module in self.walk():
+            _capture_fields(module, module.full_name, entries)
+        return tuple(entries)
+
+    def restore_state(self, state: tuple) -> None:
+        """Replay a :meth:`capture_state` capture.  Repeatable: the
+        masters are never handed out, only copied from."""
+        for obj, field, value, master in state:
+            if master is not None:
+                value[:] = master
+            setattr(obj, field, value)
 
     # -- injection points ---------------------------------------------------
 

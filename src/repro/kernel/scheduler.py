@@ -457,8 +457,9 @@ class Simulator:
         relies on.
 
         Module-level state (memory images, component counters) is NOT
-        captured — that is the platform's job, via the registry bundle
-        ``capture_state`` hook.
+        captured: :meth:`Module.capture_state
+        <repro.kernel.Module.capture_state>` does that, and callers take
+        it first, so an uncapturable platform pays for no kernel capture.
         """
         return capture_kernel_state(self, strict=strict)
 
@@ -529,9 +530,10 @@ class Simulator:
         kernel.  Delta hooks are an explicit exception: tracing hooks
         are per-run scaffolding, so reset always clears them.
 
-        Module-level state (memory contents, component counters) is the
-        platform's job — campaigns restore it through the registry
-        bundle's ``capture_state``/``restore_state`` hooks.
+        Module-level state (memory contents, component counters) is
+        not touched — campaigns restore it from a
+        :meth:`Module.capture_state <repro.kernel.Module.capture_state>`
+        capture.
         """
         if self._elab_snapshot is None:
             self._elab_snapshot = self.snapshot(strict=False)

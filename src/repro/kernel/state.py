@@ -40,8 +40,9 @@ SCHEMA_VERSION = 1
 
 
 class SnapshotUnsupported(RuntimeError):
-    """The kernel holds state a snapshot cannot capture (bare-generator
-    process continuations)."""
+    """State a snapshot cannot capture: a bare-generator process
+    continuation, a module whose class declares no ``STATE_FIELDS``,
+    or a declared field holding an unsupported value."""
 
 
 class SnapshotRestoreError(RuntimeError):
@@ -203,13 +204,13 @@ def restore_kernel_state(
 ) -> None:
     """Return *sim* to the captured boundary.
 
-    ``platform_restore`` re-seeds module-level state (the registry
-    bundle's ``restore_state`` hook).  It runs **twice**: once before
-    process priming — so preambles that *read* module state (cached
-    sensor codes, thresholds) see restored values — and once after —
-    so preambles that *mutate* module state (a watchdog biting during
-    its first primed iteration, an ECU delivering its enable write)
-    are undone.  Kernel-side queue/signal state touched by priming is
+    ``platform_restore`` re-seeds module-level state (a replay of a
+    :meth:`~repro.kernel.Module.capture_state` capture).  It runs
+    **twice**: once before process priming — so preambles that *read*
+    module state (cached sensor codes, thresholds) see restored
+    values — and once after — so preambles that *mutate* module state
+    (a watchdog biting during its first primed iteration, an ECU
+    delivering its enable write) are undone.  Kernel-side queue/signal state touched by priming is
     likewise wiped and re-applied after the prime pass.
     """
     if state.schema != SCHEMA_VERSION:

@@ -38,8 +38,6 @@ register_platform(
     description="CAPS airbag, normal operation (safety goal G1: "
     "no spurious deployment)",
     trace_signals=airbag.trace_signals,
-    capture_state=airbag.capture_state,
-    restore_state=airbag.restore_state,
     reach_surface=airbag.reach_surface,
 )
 register_platform(
@@ -50,11 +48,9 @@ register_platform(
     description="CAPS airbag, crash pulse at 50 ms (goal G2: deploy "
     "in time)",
     trace_signals=airbag.trace_signals,
-    capture_state=airbag.capture_state,
-    restore_state=airbag.restore_state,
     reach_surface=airbag.reach_surface,
 )
-register_platform(  # vp-lint: disable=VP009 - distributed CAN state has no capture hooks; rebuilt fresh for every run
+register_platform(
     "acc",
     acc.build_acc,
     acc.observe,
@@ -67,10 +63,8 @@ register_platform(
     steering.observe,
     steering.steering_classifier,
     description="electric power steering servo, nominal load",
-    capture_state=steering.capture_state,
-    restore_state=steering.restore_state,
 )
-register_platform(  # vp-lint: disable=VP009 - deliberately crashes/livelocks; must never be reused warm or forked
+register_platform(
     "hostile-dut",
     hostile.build_hostile,
     hostile.observe,

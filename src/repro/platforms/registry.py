@@ -21,17 +21,18 @@ nominates the kernel signals the observability layer
 the platform knows which of its signals carry safety-relevant state;
 the trace machinery should not have to guess.
 
-An optional pair, ``capture_state(root) -> state`` and
-``restore_state(root, state)``, covers every piece of module-level
-state (memory images, component counters, latched actuators).  With
-it a worker elaborates the platform once, captures kernel and module
-state right after the factory returns, and restores that capture
-before every run (**warm reuse**), and runs sharing a fault-free
-prefix fork from a capture taken at its end (**snapshot-fork**).
-Bundles without the pair (``forkable == False``), and platforms whose
-factory leaves a bare-generator process alive, are rebuilt from
-scratch for every run — correct by construction, just slower.  A
-``reset`` hook is still accepted and stored, but nothing reads it.
+How a platform's state is captured is not the bundle's business: a
+worker elaborates the platform once, captures its module tree
+(:meth:`~repro.kernel.Module.capture_state`, driven by each
+component's ``STATE_FIELDS``) and the kernel right after the factory
+returns, and restores that capture before every run (**warm reuse**);
+runs sharing a fault-free prefix fork from a capture taken at its end
+(**snapshot-fork**).  A platform holding a module whose class declares
+no ``STATE_FIELDS``, or whose factory leaves a bare-generator process
+alive, is elaborated anew for every run — correct by construction,
+just slower.  The ``reset``, ``capture_state`` and
+``restore_state`` hooks are still accepted and stored for older
+callers, but nothing reads them.
 
 Registration must happen at **module import time** so that worker
 processes — which re-import the registering module under ``spawn``
@@ -58,16 +59,10 @@ class PlatformBundle(_t.NamedTuple):
     description: str = ""
     #: Optional ``root -> {name: signal}``; ``None`` = nothing watched.
     trace_signals: _t.Optional[_t.Callable] = None
-    #: Accepted and kept readable for older callers; nothing reads it.
+    #: The next three are accepted and kept readable for older
+    #: callers; nothing reads them.
     reset: _t.Optional[_t.Callable] = None
-    #: Optional ``root -> state`` deep-capturing module-level state at a
-    #: scheduling boundary; pairs with ``restore_state`` to opt the
-    #: platform into warm reuse and snapshot-fork execution.  ``None`` =
-    #: rebuilt fresh for every run.
     capture_state: _t.Optional[_t.Callable] = None
-    #: Optional ``(root, state) -> None`` re-seeding module-level state
-    #: from a ``capture_state`` capture.  Must tolerate being applied
-    #: repeatedly from the same capture (fresh copies every call).
     restore_state: _t.Optional[_t.Callable] = None
     #: Optional ``root -> {"detectors": {mechanism: [module]},
     #: "outputs": [module-or-signal]}`` declaring the platform's
@@ -79,11 +74,6 @@ class PlatformBundle(_t.NamedTuple):
     #: to call any fault site dead, so pruning degrades to a no-op
     #: instead of silently skipping live injections.
     reach_surface: _t.Optional[_t.Callable] = None
-
-    @property
-    def forkable(self) -> bool:
-        """True when the platform opts into warm reuse and fork."""
-        return self.capture_state is not None and self.restore_state is not None
 
 
 _REGISTRY: _t.Dict[str, PlatformBundle] = {}
@@ -110,18 +100,14 @@ def register_platform(
 
     Re-registering an existing name requires ``replace=True`` — silent
     shadowing would make parent and worker processes disagree about
-    what a key means.  *reset* is accepted and stored so older callers
-    keep working, but ignored: warm reuse needs the capture pair.
+    what a key means.  *reset*, *capture_state* and *restore_state* are
+    accepted and stored so older callers keep working, but ignored:
+    the components' ``STATE_FIELDS`` decide warm reuse and fork.
     """
     if name in _REGISTRY and not replace:
         raise ValueError(
             f"platform {name!r} is already registered; "
             f"pass replace=True to override"
-        )
-    if (capture_state is None) != (restore_state is None):
-        raise ValueError(
-            f"platform {name!r}: capture_state and restore_state must "
-            f"be provided together"
         )
     bundle = PlatformBundle(
         name, factory, observe, classifier_factory, description,

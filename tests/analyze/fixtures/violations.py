@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.runspec import RunSpec
 from repro.kernel import Signal
-from repro.platforms.registry import register_platform
 
 #: Module-level mutable container: VP003 bait when used as an initial.
 SHARED_INITIAL = []
@@ -67,10 +66,19 @@ def build_unpicklable_spec(scenario):
     )
 
 
-def register_without_capture_hooks(factory, observe, classifier_factory):
-    register_platform(  # VP009: no capture_state= hook, no pragma rationale
-        "corpus-uncaptured", factory, observe, classifier_factory,
-    )
+def undeclared_run_state():
+    class Counter:
+        STATE_FIELDS = ("count",)
+
+        def __init__(self):
+            self.count = 0
+            self.last = None
+
+        def tick(self, value):
+            self.count += 1
+            self.last = value  # VP009: "last" missing from STATE_FIELDS
+
+    return Counter
 
 
 def bail_out_of_the_campaign():

@@ -146,24 +146,64 @@ def test_vp008_lambda_in_runspec():
     assert lint_snippet("spec = RunSpec(index=0, golden=None)\n") == []
 
 
-def test_vp009_registration_without_capture_state():
-    findings = lint_snippet(
-        "register_platform('p', build, observe, classify)\n"
-    )
-    assert codes(findings) == ["VP009"]
+def test_vp009_undeclared_state_field():
+    snippet = """
+        class Part(Base):
+            STATE_FIELDS = ("count",)
+
+            def __init__(self):
+                self.count = 0
+                self.cache = None
+
+            def tick(self):
+                self.count += 1
+                self.cache = 1
+                (self.level, self.peak) = (2, 3)
+                self.note: str = "x"
+        """
+    findings = lint_snippet(snippet)
+    assert codes(findings) == ["VP009"] * 4
     assert findings[0].severity == WARNING
-    # A reset= hook alone no longer buys warm reuse: nothing reads it.
-    assert codes(lint_snippet(
-        "register_platform('p', build, observe, classify, reset=warm)\n"
-    )) == ["VP009"]
+    assert sorted(f.message.split()[2] for f in findings) == [
+        "self.cache,", "self.level,", "self.note,", "self.peak,",
+    ]
+    # Only rebinding counts: item writes, other objects' attributes and
+    # __init__ are fine, and so are classes that declare nothing.
     assert lint_snippet(
-        "register_platform('p', build, observe, classify, "
-        "capture_state=cap, restore_state=rest)\n"
+        """
+        class Part:
+            STATE_FIELDS = ("data",)
+
+            def __init__(self):
+                self.buffer = 0
+
+            def tick(self, other):
+                self.data[0] = 1
+                other.level = 2
+
+        class Plain:
+            def tick(self):
+                self.level = 1
+        """
     ) == []
-    assert lint_snippet(
-        "register_platform('p', build, observe, classify, 'doc', "
-        "signals, None, cap, rest)\n"
-    ) == []
+
+
+def test_vp009_fields_accumulate_from_same_file_ancestors():
+    snippet = """
+        class Base:
+            STATE_FIELDS = ("count",)
+
+        class Part(Base):
+            STATE_FIELDS = ("level",)
+
+            def tick(self):
+                self.count += 1
+                self.level = 2
+                self.other = 3
+        """
+    findings = lint_snippet(snippet)
+    assert codes(findings) == ["VP009"]
+    assert "self.other" in findings[0].message
 
 
 def test_vp010_process_exit():

@@ -141,27 +141,33 @@ def test_next_line_pragma_supports_all_and_multiple_codes():
     ) == []
 
 
+MULTILINE_VP009 = """
+    class Part:
+        STATE_FIELDS = ()
+
+        def tick(self):
+            self.cache = (
+                1, 2,
+            )
+    """
+
+
 def test_next_line_pragma_before_multiline_statement():
     # The anchor is the statement's *first* physical line, exactly as
     # the line scope would see it.
-    assert lint_snippet(
-        """
-        # vp-lint: disable-next-line=VP009 - fresh by design
-        register_platform(
-            "p", build, observe, classify,
-        )
-        """
-    ) == []
+    assert [f.code for f in lint_snippet(MULTILINE_VP009)] == ["VP009"]
+    assert lint_snippet(MULTILINE_VP009.replace(
+        "        self.cache = (",
+        "        # vp-lint: disable-next-line=VP009 - derived, not run state\n"
+        "            self.cache = (",
+    )) == []
 
 
 def test_multiline_statement_pragma_anchors_on_first_line():
-    assert lint_snippet(
-        """
-        register_platform(  # vp-lint: disable=VP009 - fresh by design
-            "p", build, observe, classify,
-        )
-        """
-    ) == []
+    assert lint_snippet(MULTILINE_VP009.replace(
+        "self.cache = (",
+        "self.cache = (  # vp-lint: disable=VP009 - derived, not run state",
+    )) == []
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +236,11 @@ def test_cli_exit_one_on_corpus(capsys):
 
 def test_cli_min_severity_error_drops_warnings(tmp_path, capsys):
     (tmp_path / "warn.py").write_text(
-        "register_platform('p', b, o, c)\n", encoding="utf-8"
+        "class Part:\n"
+        "    STATE_FIELDS = ()\n"
+        "    def tick(self):\n"
+        "        self.cache = 1\n",
+        encoding="utf-8",
     )
     assert main([str(tmp_path)]) == 1
     assert main([str(tmp_path), "--min-severity", "error"]) == 0

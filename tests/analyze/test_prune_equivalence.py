@@ -40,7 +40,7 @@ def build_islanded(sim):
 
 @pytest.fixture()
 def islanded(request):
-    registry.register_platform(  # vp-lint: disable=VP009 - test fixture; warm reset irrelevant to one-shot equivalence runs
+    registry.register_platform(
         KEY,
         build_islanded,
         airbag.observe,

@@ -3,8 +3,8 @@ execution.
 
 The contract under test: grouping runs by shared fault-free prefix,
 simulating that prefix once, and forking every run from the mid-run
-kernel snapshot (:meth:`Simulator.snapshot` + the platform bundle's
-``capture_state``/``restore_state`` hooks) is *invisible* in campaign
+kernel snapshot (:meth:`Simulator.snapshot` + the module capture the
+components' ``STATE_FIELDS`` declare) is *invisible* in campaign
 results — outcomes, observations, kernel counters (minus wall clock),
 and trace digests are byte-identical to per-run execution, and
 anything fork-ineligible silently takes the per-run path.  The
@@ -12,6 +12,7 @@ generative version lives in
 ``tests/property/test_snapshot_properties.py``.
 """
 
+import dataclasses
 import inspect
 
 import pytest
@@ -32,7 +33,7 @@ from repro.core.runspec import (
 )
 from repro.core.scenario import ErrorScenario, FaultSpace, PlannedInjection
 from repro.faults import SENSOR_OFFSET_DRIFT, SENSOR_STUCK, SRAM_SEU
-from repro.kernel import Simulator, simtime
+from repro.kernel import Module, Simulator, simtime
 from repro.platforms import registry
 
 DURATION = simtime.ms(40)
@@ -122,7 +123,10 @@ def _fresh(specs, key):
     bundle = registry.get_platform(key)
     classifier = bundle.classifier_factory()
     return [
-        execute_runspec(spec, bundle.factory, bundle.observe, classifier)
+        execute_runspec(
+            dataclasses.replace(spec, reuse_platform=False),
+            bundle.factory, bundle.observe, classifier,
+        )
         for spec in specs
     ]
 
@@ -264,8 +268,6 @@ class TestForkEquivalence:
         specs = _group_specs(key, [SRAM_SEU, SENSOR_STUCK], count=4)
         executor = SerialExecutor(
             bundle.factory, bundle.observe, bundle.classifier_factory(),
-            capture_state=bundle.capture_state,
-            restore_state=bundle.restore_state,
         )
         outcomes = executor.run_batch(specs)
         assert [o.index for o in outcomes] == [s.index for s in specs]
@@ -303,15 +305,23 @@ class TestForkEquivalence:
 # Fallback paths
 # ---------------------------------------------------------------------------
 
+class Undeclared(Module):
+    """A component whose class declares no ``STATE_FIELDS``."""
+
+
 class TestForkFallback:
-    def test_group_without_snapshot_hooks_raises(self):
+    def test_group_with_undeclared_module_raises(self):
         specs = _group_specs("airbag-normal", [SRAM_SEU], count=2)
         bundle = registry.get_platform("airbag-normal")
-        with pytest.raises(ForkUnsupported):
+
+        def factory(sim):
+            root = bundle.factory(sim)
+            Undeclared("extra", parent=root)
+            return root
+
+        with pytest.raises(ForkUnsupported, match=r"caps\.extra"):
             execute_fork_group(
-                specs, bundle.factory, bundle.observe,
-                bundle.classifier_factory(),
-                capture_state=None, restore_state=None,
+                specs, factory, bundle.observe, bundle.classifier_factory(),
             )
 
     def test_mixed_group_key_rejected(self):
@@ -324,12 +334,10 @@ class TestForkFallback:
             execute_fork_group(
                 [specs[0], odd[0]], bundle.factory, bundle.observe,
                 bundle.classifier_factory(),
-                capture_state=bundle.capture_state,
-                restore_state=bundle.restore_state,
             )
 
     def test_chunk_tolerant_falls_back_for_hookless_platform(self):
-        """acc has no snapshot hooks: fork-flagged chunk execution must
+        """acc declares no state: fork-flagged chunk execution must
         degrade to per-run records identical to unflagged execution."""
         key = "acc"
         campaign = _campaign(key)

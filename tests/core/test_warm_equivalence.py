@@ -2,8 +2,8 @@
 
 The tentpole contract of the warm-reuse fast path: a campaign that
 keeps one platform per worker and, before each run, restores the
-kernel snapshot and module capture (the bundle's ``capture_state``/
-``restore_state`` hooks) taken right after elaboration produces
+kernel snapshot and module capture (``Module.capture_state``, driven by
+the components' ``STATE_FIELDS``) taken right after elaboration produces
 outcomes, digests, and checkpoint journals **byte-identical** to one
 that elaborates a fresh platform for every run.  Only wall-clock fields
 may differ — they are stripped by the canonicalizers here, exactly as
@@ -22,8 +22,9 @@ from repro.core.runspec import (
     _WARM_PLATFORMS,
     clear_warm_platforms,
     execute_runspec,
+    execute_runspec_from_registry,
 )
-from repro.core.scenario import FaultSpace
+from repro.core.scenario import ErrorScenario, FaultSpace
 from repro.faults import (
     SENSOR_OFFSET_DRIFT,
     SENSOR_STUCK,
@@ -32,7 +33,8 @@ from repro.faults import (
     FaultKind,
     Persistence,
 )
-from repro.kernel import Simulator, simtime
+from repro.hw.memory import Memory
+from repro.kernel import Module, Simulator, simtime
 from repro.platforms import airbag, registry
 
 STUCK_HIGH = FaultDescriptor(
@@ -44,6 +46,8 @@ STUCK_HIGH = FaultDescriptor(
 )
 
 DURATION = simtime.ms(60)
+
+SPARE_BANKS = "airbag-spares"
 
 
 @pytest.fixture(autouse=True)
@@ -70,6 +74,43 @@ def counting(factory, built):
     def build(sim):
         built.append(sim)
         return factory(sim)
+
+    return build
+
+
+def build_spare_banks(sim):
+    """The CAPS airbag plus two unreferenced spare SRAM banks."""
+    platform = airbag.build_normal_operation(sim)
+    for i in range(2):
+        Memory(f"spare{i}", parent=platform, size=8)
+    return platform
+
+
+@pytest.fixture()
+def spare_banks():
+    registry.register_platform(
+        SPARE_BANKS,
+        build_spare_banks,
+        airbag.observe,
+        airbag.normal_operation_classifier,
+        trace_signals=airbag.trace_signals,
+        replace=True,
+    )
+    yield SPARE_BANKS
+    registry._REGISTRY.pop(SPARE_BANKS, None)  # vp-lint: disable=VP006 - test-only registry cleanup
+
+
+class Undeclared(Module):
+    """A component whose class declares no ``STATE_FIELDS``."""
+
+
+def with_undeclared(factory, built):
+    """*factory* plus one :class:`Undeclared` child, counted in *built*."""
+    def build(sim):
+        built.append(sim)
+        root = factory(sim)
+        Undeclared("extra", parent=root)
+        return root
 
     return build
 
@@ -164,9 +205,16 @@ class TestWarmCampaignEquivalence:
         assert not _WARM_PLATFORMS
 
     def test_unforkable_platform_never_caches(self):
-        assert not registry.get_platform("hostile-dut").forkable
-        assert registry.get_platform("airbag-normal").forkable
-        assert registry.get_platform("steering").forkable
+        """acc's modules and ``HostileDut`` declare no ``STATE_FIELDS``:
+        their runs never enter the warm cache; airbag and steering do."""
+        duration = simtime.ms(10)
+        for key in ("acc", "hostile-dut", "airbag-normal", "steering"):
+            golden = Campaign(duration=duration, seed=1, platform=key).golden()
+            execute_runspec_from_registry(RunSpec(
+                index=0, scenario=ErrorScenario(name="clean", injections=[]),
+                run_seed=1, duration=duration, platform=key, golden=golden,
+            ))
+        assert set(_WARM_PLATFORMS) == {"airbag-normal", "steering"}
 
     def test_journals_byte_identical(self, tmp_path):
         fresh_path = tmp_path / "fresh.jsonl"
@@ -202,8 +250,6 @@ class TestWarmRunspecProtocol:
     """Runspec-level behavior of the warm cache itself."""
 
     def _spec(self, scenario=None, **kwargs):
-        from repro.core.scenario import ErrorScenario
-
         campaign = airbag_campaign()
         return RunSpec(
             index=kwargs.pop("index", 0),
@@ -218,12 +264,6 @@ class TestWarmRunspecProtocol:
     def _bundle(self):
         return registry.get_platform("airbag-normal")
 
-    def _hooks(self, bundle):
-        return {
-            "capture_state": bundle.capture_state,
-            "restore_state": bundle.restore_state,
-        }
-
     def test_platform_elaborated_once_and_reused(self):
         bundle = self._bundle()
         built = []
@@ -232,7 +272,7 @@ class TestWarmRunspecProtocol:
         for index in range(3):
             execute_runspec(
                 self._spec(index=index), counting_factory, bundle.observe,
-                classifier, **self._hooks(bundle),
+                classifier,
             )
         assert len(built) == 1
         assert "airbag-normal" in _WARM_PLATFORMS
@@ -252,14 +292,14 @@ class TestWarmRunspecProtocol:
 
         timed_out = execute_runspec(
             self._spec(index=0, deadline_s=1e-6),
-            bundle.factory, bundle.observe, classifier, **self._hooks(bundle),
+            bundle.factory, bundle.observe, classifier,
         )
         assert timed_out.failure == "timeout"
         assert "airbag-normal" in _WARM_PLATFORMS  # kept, not discarded
 
         warm = execute_runspec(
             self._spec(index=1),
-            bundle.factory, bundle.observe, classifier, **self._hooks(bundle),
+            bundle.factory, bundle.observe, classifier,
         )
         fresh_stats = {
             k: v for k, v in fresh.kernel_stats.items() if k != "wall_s"
@@ -283,7 +323,7 @@ class TestWarmRunspecProtocol:
 
         execute_runspec(
             self._spec(index=0), counting_factory, bundle.observe,
-            classifier, **self._hooks(bundle),
+            classifier,
         )
         assert "airbag-normal" in _WARM_PLATFORMS
 
@@ -293,27 +333,33 @@ class TestWarmRunspecProtocol:
         with pytest.raises(RuntimeError):
             execute_runspec(
                 self._spec(index=1), counting_factory, raising_observe,
-                classifier, **self._hooks(bundle),
+                classifier,
             )
         assert "airbag-normal" not in _WARM_PLATFORMS
 
         execute_runspec(
             self._spec(index=2), counting_factory, bundle.observe,
-            classifier, **self._hooks(bundle),
+            classifier,
         )
         assert len(built) == 2  # re-elaborated after the discard
 
 
 class TestWarmEligibility:
-    """Which platforms reuse a warm build: exactly those whose bundle
-    has ``capture_state``/``restore_state`` and whose elaboration a
-    strict snapshot can capture."""
+    """Which platforms reuse a warm build: exactly those whose modules
+    all declare ``STATE_FIELDS`` and whose elaboration a strict snapshot
+    can capture."""
 
-    def test_steering_is_warm_and_byte_identical(self, tmp_path):
-        bundle = registry.get_platform("steering")
+    @pytest.mark.parametrize("key,descriptors", [
+        ("steering", [SENSOR_OFFSET_DRIFT, SENSOR_STUCK]),
+        (SPARE_BANKS, [SRAM_SEU.with_rate(5e-7), STUCK_HIGH]),
+    ], ids=["steering", SPARE_BANKS])
+    def test_warm_is_byte_identical(
+        self, key, descriptors, spare_banks, tmp_path,
+    ):
+        bundle = registry.get_platform(key)
         space = FaultSpace(
             bundle.factory(Simulator()),
-            [SENSOR_OFFSET_DRIFT, SENSOR_STUCK],
+            descriptors,
             window_start=simtime.ms(5),
             window_end=simtime.ms(35),
             time_bins=2,
@@ -322,7 +368,7 @@ class TestWarmEligibility:
 
         def run(reuse, path):
             campaign = Campaign(
-                duration=simtime.ms(40), seed=11, platform="steering"
+                duration=simtime.ms(40), seed=11, platform=key
             )
             campaign.golden()
             campaign.golden_signals()
@@ -334,9 +380,7 @@ class TestWarmEligibility:
             )
             return result, len(built) - before
 
-        with reregistered(
-            "steering", factory=counting(bundle.factory, built)
-        ):
+        with reregistered(key, factory=counting(bundle.factory, built)):
             fresh, fresh_builds = run(False, tmp_path / "fresh.jsonl")
             warm, warm_builds = run(True, tmp_path / "warm.jsonl")
         assert (fresh_builds, warm_builds) == (12, 1)
@@ -345,27 +389,29 @@ class TestWarmEligibility:
             canonical_journal(tmp_path / "fresh.jsonl")
         )
 
-    def test_reset_only_registration_builds_fresh(self):
-        """A bare ``reset=`` hook is accepted but no longer buys warm
-        reuse: without the capture pair every run elaborates."""
+    def test_undeclared_module_builds_fresh(self):
+        """One module whose class declares no ``STATE_FIELDS`` makes
+        the whole platform uncapturable: every run elaborates, and the
+        records match ``reuse_platform=False``."""
         bundle = registry.get_platform("airbag-normal")
         built = []
         with reregistered(
-            "airbag-normal",
-            factory=counting(bundle.factory, built),
-            reset=lambda root: None,
-            capture_state=None,
-            restore_state=None,
+            "airbag-normal", factory=with_undeclared(bundle.factory, built),
         ):
-            campaign = airbag_campaign()
-            campaign.golden()
-            before = len(built)
-            campaign.run(airbag_strategy(), runs=4)
-            assert len(built) - before == 4
+            runs = {}
+            for reuse in (True, False):
+                campaign = airbag_campaign()
+                campaign.golden()
+                before = len(built)
+                runs[reuse] = campaign.run(
+                    airbag_strategy(), runs=4, reuse_platform=reuse,
+                )
+                assert len(built) - before == 4
         assert "airbag-normal" not in _WARM_PLATFORMS
+        assert canonical_records(runs[True]) == canonical_records(runs[False])
 
     def test_bare_generator_platform_builds_fresh(self):
-        """Hooks alone are not enough: a factory that leaves a
+        """Declarations alone are not enough: a factory that leaves a
         bare-generator process alive cannot be snapshotted strictly, so
         every run builds fresh — and matches a fresh build, where a
         lenient capture would have dropped the process from warm runs."""
@@ -395,8 +441,6 @@ class TestWarmEligibility:
                         golden=golden, reuse_platform=reuse,
                     ),
                     bumping_factory, bundle.observe, classifier,
-                    capture_state=bundle.capture_state,
-                    restore_state=bundle.restore_state,
                 )
                 for index, scenario in enumerate(
                     airbag_strategy().next_batch(random.Random(3), 3)

@@ -13,12 +13,13 @@ generative version of the example-based tests in
 scenario space for any kernel or module state the snapshot/restore
 protocol fails to reproduce.
 
-A second property covers the fallback contract: a platform without
-snapshot hooks (hostile-dut) must journal byte-identically whether or
+A second property covers the fallback contract: a platform that
+cannot be captured (hostile-dut) must journal byte-identically whether or
 not ``fork=True`` was requested — including when its runs crash and
 are retried.
 """
 
+import dataclasses
 import json
 
 from hypothesis import given, settings, strategies as st
@@ -132,7 +133,10 @@ def _fresh(specs, fixture):
     bundle = fixture["bundle"]
     classifier = bundle.classifier_factory()
     return [
-        execute_runspec(spec, bundle.factory, bundle.observe, classifier)
+        execute_runspec(
+            dataclasses.replace(spec, reuse_platform=False),
+            bundle.factory, bundle.observe, classifier,
+        )
         for spec in specs
     ]
 
@@ -230,7 +234,7 @@ def _run_hostile(fork, checkpoint, hostility):
 
 class TestForkFallbackJournal:
     def test_hostile_journal_identical_with_fork_requested(self, tmp_path):
-        """hostile-dut has no snapshot hooks: fork=True must take the
+        """hostile-dut declares no state: fork=True must take the
         per-run path and journal byte-identically, livelocks and all."""
         hostility = {1: hostile.LIVELOCK}
         plain_path = tmp_path / "plain.jsonl"

@@ -119,8 +119,6 @@ def _execute(sequence, warm):
         outcomes.append(
             execute_runspec(
                 spec, _BUNDLE.factory, _BUNDLE.observe, _CLASSIFIER,
-                capture_state=_BUNDLE.capture_state,
-                restore_state=_BUNDLE.restore_state,
             )
         )
     return outcomes

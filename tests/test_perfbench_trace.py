@@ -5,9 +5,9 @@ installs and attributes work to the layers it names.
 (``execute_runspec``/``execute_fork_group`` in both ``runspec`` and
 ``executors``, ``Simulator.snapshot/restore``, ``Stressor.arm`` ...);
 a rename there breaks the traced benchmark without failing any other
-test.  This runs one 64-run round each of caps-serial and caps-fork
-under a tracer, in a subprocess so the wrappers never leak into this
-process.
+test.  This runs one 64-run round each of caps-serial, caps-fork and
+caps-audit under a tracer, in a subprocess so the wrappers never leak
+into this process.
 """
 
 import json
@@ -30,7 +30,9 @@ SCRIPT = textwrap.dedent(
     tracer = Tracer()
     layers.install(tracer)
     calls = {}
-    for workload_cls in (workloads.CapsSerial, workloads.CapsFork):
+    for workload_cls in (
+        workloads.CapsSerial, workloads.CapsFork, workloads.CapsAudit,
+    ):
         with tempfile.TemporaryDirectory() as work_dir:
             workload = workload_cls(7, work_dir, runs=64)
             try:
@@ -56,11 +58,12 @@ def test_traced_rounds_attribute_calls_to_named_layers():
     )
     assert result.returncode == 0, result.stderr
     calls = json.loads(result.stdout.strip().splitlines()[-1])
-    assert set(calls) == {"caps-serial", "caps-fork"}
+    assert set(calls) == {"caps-serial", "caps-fork", "caps-audit"}
     for name, layers in calls.items():
         for layer in ("kernel.run", "kernel.state", "core.runspec",
                       "core.stressor"):
             assert layers.get(layer, 0) > 0, (name, layer, layers)
         # Warm reuse and fork groups both start from the platform the
-        # set-up elaborated; a round builds nothing.
+        # set-up elaborated; a round builds nothing.  caps-audit's spare
+        # banks are plain Memory modules, so its platform is warm too.
         assert layers.get("platforms.elaborate", 0) == 0, (name, layers)
