@@ -9,11 +9,13 @@ for the mapping to the paper.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import pathlib
 import random
+import statistics
 import time
 import typing as _t
 
@@ -22,8 +24,10 @@ from repro.core import (
     ErrorScenario,
     FaultSpace,
     PlannedInjection,
+    SerialExecutor,
     Strategy,
 )
+from repro.core import runspec
 from repro.faults import FaultDescriptor, FaultKind, Persistence, SRAM_SEU
 from repro.kernel import Simulator, simtime
 from repro.platforms import airbag
@@ -68,8 +72,61 @@ AIRBAG_DURATION = simtime.ms(60)
 
 #: Injection time of the prefix-heavy fork workload: 50 of 60 ms
 #: (>= 80% of every run) is fault-free prefix shared by the whole
-#: batch — the shape snapshot-fork execution amortizes.
+#: batch — the shape the golden-run ladder skips.
 FORK_INJECT_TIME = simtime.ms(50)
+
+#: The scenario the rung-0 baseline acquires its platform for: with no
+#: injection, the warm platform comes back at its elaboration capture.
+_NO_FAULTS = ErrorScenario(name="rung-0", injections=[])
+
+
+class RungZeroExecutor(SerialExecutor):
+    """The speed gates' baseline: every run restores the warm
+    platform's elaboration capture (rung 0) and simulates from time 0.
+
+    That is the per-run path before the golden-run ladder, so the fork
+    and risk gates still compare skipping the fault-free prefix against
+    simulating it, now that the default path skips it too.  Records are
+    byte-identical to the ladder's.
+    """
+
+    def __init__(self, platform: str = "airbag-normal"):
+        from repro.platforms import registry
+
+        bundle = registry.get_platform(platform)
+        super().__init__(
+            bundle.factory, bundle.observe, registry.get_classifier(platform)
+        )
+
+    def _run_one(self, spec):
+        wall_start = time.perf_counter()
+        sim, root, rung = runspec._acquire_platform(
+            dataclasses.replace(spec, scenario=_NO_FAULTS), self.factory
+        )
+        return runspec._run(
+            spec, sim, root, self.observe, self.classifier, None, None,
+            wall_start, rung,
+        )
+
+
+def median_speedup(
+    baseline: _t.Callable[[], float],
+    candidate: _t.Callable[[], float],
+    pairs: int = 5,
+) -> float:
+    """The median over *pairs* alternating trial pairs of baseline wall
+    over candidate wall: on a shared host one trial's ratio swings by
+    tens of percent, a median of pairs far less."""
+    ratios = []
+    for pair in range(pairs):
+        if pair % 2:
+            candidate_wall = candidate()
+            baseline_wall = baseline()
+        else:
+            baseline_wall = baseline()
+            candidate_wall = candidate()
+        ratios.append(baseline_wall / candidate_wall)
+    return statistics.median(ratios)
 
 
 def airbag_campaign(seed: int = 7) -> Campaign:
@@ -109,11 +166,10 @@ class PrefixHeavyStrategy(Strategy):
     """Random fault draws at one fixed injection time.
 
     Every scenario injects at the same instant, so a whole batch
-    shares one fault-free prefix and forms a single snapshot-fork
-    group — the workload ``Campaign.run(fork=True)`` amortizes.  The
-    fault *content* still varies per scenario (uniform over the space's
-    injection pairs), so outcomes stay diverse enough to exercise the
-    classifier.
+    shares one fault-free prefix and one batch rung of the golden-run
+    ladder.  The fault *content* still varies per scenario (uniform
+    over the space's injection pairs), so outcomes stay diverse enough
+    to exercise the classifier.
     """
 
     def __init__(self, space: FaultSpace, time: int):
@@ -137,23 +193,25 @@ class PrefixHeavyStrategy(Strategy):
 
 def timed_fork_campaign(
     runs: int,
-    fork: bool,
+    ladder: bool,
     batch_size: int = 32,
     seed: int = 7,
 ):
     """One seeded prefix-heavy CAPS campaign; returns (result, wall).
 
-    Serial backend either way; ``fork`` toggles snapshot-fork
-    execution on the identical spec stream, so the pair isolates
-    exactly what prefix sharing buys.
+    In-process either way: ``ladder`` runs the default serial path,
+    which starts every run from the golden-run ladder, and otherwise
+    :class:`RungZeroExecutor` simulates every run from time 0 — the
+    identical spec stream, so the pair isolates exactly what skipping
+    the shared prefix buys.
     """
     campaign = airbag_campaign(seed=seed)
     campaign.golden()
     strategy = PrefixHeavyStrategy(airbag_space(), FORK_INJECT_TIME)
+    backend = "serial" if ladder else RungZeroExecutor()
     start = time.perf_counter()
     result = campaign.run(
-        strategy, runs=runs, backend="serial", batch_size=batch_size,
-        fork=fork,
+        strategy, runs=runs, backend=backend, batch_size=batch_size,
     )
     return result, time.perf_counter() - start
 
@@ -393,7 +451,7 @@ RISK_BENCH_PATH = pathlib.Path(__file__).parent / "BENCH_risk.json"
 
 def timed_risk_campaign(
     runs: int,
-    fork: bool = False,
+    ladder: bool = True,
     backend: str = "serial",
     workers: _t.Optional[int] = None,
     batch_size: int = 64,
@@ -405,11 +463,12 @@ def timed_risk_campaign(
 
     The strategy draws correlated environment trajectories per run and
     re-derives the stressor spec per sample (the per-sample Fig. 2
-    loop), with the injection time pinned to the prefix-heavy instant
-    so ``fork=True`` amortizes the shared fault-free prefix exactly as
-    in the plain fork workload.  The report fold is timed separately —
-    it is pure post-processing and must not pollute the backend
-    comparison.
+    loop), with the injection time pinned to the prefix-heavy instant,
+    so the ladder skips the shared fault-free prefix exactly as in the
+    plain fork workload; ``ladder=False`` runs the serial spec stream
+    on :class:`RungZeroExecutor` instead, which simulates it.  The
+    report fold is timed separately — it is pure post-processing and
+    must not pollute the backend comparison.
     """
     from repro.mission import standard_passenger_car_profile
     from repro.risk import RiskReport, SampledScenarioStrategy, StressSampler
@@ -421,10 +480,12 @@ def timed_risk_campaign(
         StressSampler(standard_passenger_car_profile(), seed=sampler_seed),
         injection_time=FORK_INJECT_TIME,
     )
+    if not ladder:
+        backend = RungZeroExecutor()
     start = time.perf_counter()
     result = campaign.run(
         strategy, runs=runs, backend=backend, workers=workers,
-        batch_size=batch_size, fork=fork,
+        batch_size=batch_size,
     )
     campaign_wall = time.perf_counter() - start
     start = time.perf_counter()

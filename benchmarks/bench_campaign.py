@@ -5,13 +5,17 @@ quantitative safety evaluation (Sec. 3.4); this suite tracks the
 runs-per-second trajectory of the Fig. 3 CAPS campaign across PRs:
 
 * ``serial`` — the default in-process loop, warm-platform reuse on
-  (one elaborated platform, reset between runs);
+  (one elaborated platform; each run restores the latest rung of its
+  golden-run ladder before its first injection);
 * ``serial-fresh`` — the same campaign with ``reuse_platform=False``,
   isolating what warm reuse buys over per-run elaboration;
 * ``parallel`` — the process-pool backend with chunked dispatch.  The
   emitter *always* attempts it when the host can make it meaningful
   (>= 2 CPUs, or ``REPRO_FORCE_POOL=1``) and otherwise records an
-  explicit ``skipped: single-cpu`` entry instead of omitting the row.
+  explicit ``skipped: single-cpu`` entry instead of omitting the row;
+* ``serial-prefix`` / ``fork`` — the prefix-heavy workload (one shared
+  injection time at 50 of 60 ms) on ``RungZeroExecutor``, which
+  simulates every run from time 0, and on the default ladder path.
 
 Every non-serial entry carries ``speedup_vs_serial``; the CI
 perf-smoke step (``perf_smoke.py``) compares a fresh serial
@@ -28,6 +32,7 @@ from _workloads import (
     POOL_OK,
     campaign_bench_entry,
     emit_campaign_bench,
+    median_speedup,
     skipped_entry,
     timed_campaign,
     timed_fork_campaign,
@@ -75,15 +80,15 @@ def test_campaign_backend_throughput_json():
     else:
         entries.append(skipped_entry("parallel", "single-cpu"))
     # Fork rows: the prefix-heavy workload (one shared injection time,
-    # >= 80% fault-free prefix) with snapshot-fork off and on.  The
-    # fork entry's speedup is precomputed against its own serial
-    # baseline — the workloads differ, so the generic vs-"serial"
-    # ratio would compare apples to oranges.
+    # >= 80% fault-free prefix) simulated from time 0 on every run, and
+    # started from the golden-run ladder.  The fork entry's speedup is
+    # precomputed against its own baseline — the workloads differ, so
+    # the generic vs-"serial" ratio would compare apples to oranges.
     prefix, prefix_wall = timed_fork_campaign(
-        FORK_RUNS, fork=False, batch_size=FORK_BATCH
+        FORK_RUNS, ladder=False, batch_size=FORK_BATCH
     )
     forked, forked_wall = timed_fork_campaign(
-        FORK_RUNS, fork=True, batch_size=FORK_BATCH
+        FORK_RUNS, ladder=True, batch_size=FORK_BATCH
     )
     assert forked.outcome_histogram() == prefix.outcome_histogram()
     prefix_entry = campaign_bench_entry(
@@ -99,23 +104,32 @@ def test_campaign_backend_throughput_json():
 
 
 def test_campaign_fork_speedup_acceptance():
-    """>= 3x runs/sec from snapshot-fork on a >= 80%-prefix workload,
-    identical results run for run."""
-    prefix, prefix_wall = timed_fork_campaign(
-        FORK_RUNS, fork=False, batch_size=FORK_BATCH
+    """>= 3x runs/sec from the golden-run ladder over simulating every
+    run from time 0 on a >= 80%-prefix workload, identical results run
+    for run; the floor holds for the median of 5 alternating trial
+    pairs, since single trials swing by tens of percent on a shared
+    host."""
+    prefix, _ = timed_fork_campaign(
+        FORK_RUNS, ladder=False, batch_size=FORK_BATCH
     )
-    forked, forked_wall = timed_fork_campaign(
-        FORK_RUNS, fork=True, batch_size=FORK_BATCH
+    forked, _ = timed_fork_campaign(
+        FORK_RUNS, ladder=True, batch_size=FORK_BATCH
     )
     assert forked.outcome_histogram() == prefix.outcome_histogram()
     assert [r.matched_rules for r in forked.records] == [
         r.matched_rules for r in prefix.records
     ]
-    prefix_rate = FORK_RUNS / prefix_wall
-    forked_rate = FORK_RUNS / forked_wall
-    assert forked_rate >= 3.0 * prefix_rate, (
-        f"fork {forked_rate:.1f} runs/s vs per-run "
-        f"{prefix_rate:.1f} runs/s"
+    speedup = median_speedup(
+        lambda: timed_fork_campaign(
+            FORK_RUNS, ladder=False, batch_size=FORK_BATCH
+        )[1],
+        lambda: timed_fork_campaign(
+            FORK_RUNS, ladder=True, batch_size=FORK_BATCH
+        )[1],
+    )
+    assert speedup >= 3.0, (
+        f"ladder vs rung-0 median speedup {speedup:.2f}x over "
+        f"{FORK_RUNS} runs"
     )
 
 

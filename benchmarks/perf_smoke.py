@@ -5,10 +5,12 @@ compares the measured runs/sec against the ``"serial"`` entry of the
 *committed* ``BENCH_campaign.json``.  Exits non-zero when throughput
 regressed by more than the tolerance (default 30%), so a PR that
 quietly loses the warm-reuse / scheduler fast paths fails CI instead
-of shipping.  Two further *ratio* guards ride along (ratios transfer
-across hosts): the snapshot-fork speedup on the prefix-heavy workload
-and the gate vector-engine speedup on the alu8 fault enumeration,
-both against their committed JSON rows.
+of shipping.  Further *ratio* guards ride along (ratios transfer
+across hosts): the golden-run ladder's speedup over simulating every
+run from time 0 on the prefix-heavy and the sampled risk workloads
+(the median of 5 alternating trial pairs each), the loopback-cluster
+speedup, and the gate vector-engine speedup on the alu8 fault
+enumeration, all against their committed JSON rows.
 
 Environment knobs:
 
@@ -34,6 +36,7 @@ from _workloads import (
     GATE_BENCH_PATH,
     POOL_OK,
     RISK_BENCH_PATH,
+    median_speedup,
     timed_campaign,
     timed_distributed_campaign,
     timed_fork_campaign,
@@ -189,27 +192,29 @@ def distributed_guard(tolerance: float, runs: int) -> int:
 
 
 def risk_engine_guard(tolerance: float, runs: int) -> int:
-    """Guard the sampled-campaign fork speedup *ratio*.
+    """Guard the sampled campaign's ladder speedup *ratio* over the
+    rung-0 baseline (every run simulated from time 0).
 
     The risk strategy adds per-sample environment drawing and stressor
     re-derivation to every planned run; if that planning work quietly
-    became O(catalog) slower — or fork grouping stopped recognizing
-    the pinned injection time — the measured ratio collapses toward
-    1x and fails here, on any host."""
+    became O(catalog) slower — or the ladder stopped skipping the
+    pinned injection time's prefix — the measured ratio collapses
+    toward 1x and fails here, on any host."""
     baseline = committed_risk_speedup()
-    _, _, serial_wall, _ = timed_risk_campaign(runs, fork=False)
-    _, _, fork_wall, _ = timed_risk_campaign(runs, fork=True)
-    speedup = serial_wall / fork_wall
+    speedup = median_speedup(
+        lambda: timed_risk_campaign(runs, ladder=False)[2],
+        lambda: timed_risk_campaign(runs, ladder=True)[2],
+    )
     floor = baseline * (1.0 - tolerance)
     verdict = "ok" if speedup >= floor else "REGRESSION"
     print(
-        f"perf-smoke: risk fork speedup {speedup:.2f}x over {runs} "
-        f"sampled runs (committed {baseline:.2f}x, floor {floor:.2f}x "
-        f"at -{tolerance:.0%}): {verdict}"
+        f"perf-smoke: risk ladder speedup {speedup:.2f}x over {runs} "
+        f"sampled runs (median of 5 pairs; committed {baseline:.2f}x, "
+        f"floor {floor:.2f}x at -{tolerance:.0%}): {verdict}"
     )
     if speedup < floor:
         print(
-            "risk-engine fork speedup regressed beyond tolerance; "
+            "risk-engine ladder speedup regressed beyond tolerance; "
             "if intentional, regenerate BENCH_risk.json via "
             "bench_risk_engine.py and commit it with the change",
             file=sys.stderr,
@@ -278,28 +283,25 @@ def main() -> int:
         )
         return 1
 
-    # Snapshot-fork guard: the *speedup ratio* of the prefix-heavy
-    # workload, not an absolute rate — ratios transfer across hosts,
-    # so the same tolerance applies.  A fork path that silently fell
-    # back to per-run execution measures ~1.0 and fails here.
+    # Ladder guard: the *speedup ratio* of the prefix-heavy workload
+    # over the rung-0 baseline, not an absolute rate — ratios transfer
+    # across hosts, so the same tolerance applies.  A ladder that
+    # silently stopped skipping the prefix measures ~1.0 and fails here.
     fork_baseline = committed_fork_speedup()
-    prefix, prefix_wall = timed_fork_campaign(
-        runs, fork=False, batch_size=runs
+    fork_speedup = median_speedup(
+        lambda: timed_fork_campaign(runs, ladder=False, batch_size=runs)[1],
+        lambda: timed_fork_campaign(runs, ladder=True, batch_size=runs)[1],
     )
-    forked, forked_wall = timed_fork_campaign(
-        runs, fork=True, batch_size=runs
-    )
-    fork_speedup = prefix_wall / forked_wall
     fork_floor = fork_baseline * (1.0 - tolerance)
     fork_verdict = "ok" if fork_speedup >= fork_floor else "REGRESSION"
     print(
-        f"perf-smoke: fork speedup {fork_speedup:.2f}x over "
-        f"{forked.runs} runs (committed {fork_baseline:.2f}x, floor "
+        f"perf-smoke: ladder speedup {fork_speedup:.2f}x over {runs} "
+        f"runs (median of 5 pairs; committed {fork_baseline:.2f}x, floor "
         f"{fork_floor:.2f}x at -{tolerance:.0%}): {fork_verdict}"
     )
     if fork_speedup < fork_floor:
         print(
-            "snapshot-fork speedup regressed beyond tolerance; "
+            "golden-run ladder speedup regressed beyond tolerance; "
             "if intentional, regenerate BENCH_campaign.json via "
             "bench_campaign.py and commit it with the change",
             file=sys.stderr,

@@ -15,9 +15,10 @@ This walks the whole Fig. 3 loop in ~60 lines of user code:
 8. a traced campaign: ``trace=True`` returns per-run fault →
    error → failure digests that fold into a propagation graph with
    fault-to-detection latencies,
-9. and snapshot-fork execution (``fork=True``): runs sharing an
-   injection time simulate their fault-free prefix once and fork from
-   a mid-run kernel snapshot — same results, fraction of the cost.
+9. and the golden-run ladder: a warm platform starts each run from a
+   capture of its fault-free run taken just before the run's first
+   injection, instead of re-simulating that prefix — same results,
+   fraction of the cost.
 
 Run:  python examples/quickstart.py
 """
@@ -192,15 +193,16 @@ def main() -> None:
         print("median fault-to-detection latency:", medians)
     assert len(traced.digests()) == traced.runs
 
-    # Snapshot-fork execution.  The quickstart DMA platform is
-    # deliberately *not* fork-capable (its top is a plain Module that
+    # The golden-run ladder.  The quickstart DMA platform is
+    # deliberately *not* capturable (its top is a plain Module that
     # declares no STATE_FIELDS, and its copier keeps state in a
     # generator local, which a mid-run restore cannot rebuild), so
     # this demo uses the built-in airbag platform, whose components
     # all declare their STATE_FIELDS.  Pinning every scenario's
-    # injection at 50 of 60 ms makes the whole batch one fork group:
-    # ~83% of every run is shared prefix, simulated once instead of 32
-    # times.
+    # injection at 50 of 60 ms makes ~83% of every run fault-free
+    # prefix: the ladder restores a capture taken at 49.999 ms instead
+    # of simulating it, while reuse_platform=False builds and simulates
+    # every run from time zero.
     class LateInjectionStrategy(RandomStrategy):
         """Random fault draws at one fixed (late) injection time."""
 
@@ -229,20 +231,20 @@ def main() -> None:
         time_bins=2,
     )
 
-    def timed_airbag(fork):
+    def timed_airbag(reuse_platform):
         start = time.perf_counter()  # vp-lint: disable=VP005 - harness-side speedup demo, not model behaviour
         result = airbag.run(
             LateInjectionStrategy(airbag_space), runs=32,
-            batch_size=32, fork=fork,
+            batch_size=32, reuse_platform=reuse_platform,
         )
         return result, time.perf_counter() - start  # vp-lint: disable=VP005 - harness-side speedup demo, not model behaviour
 
-    per_run, per_run_wall = timed_airbag(fork=False)
-    forked, forked_wall = timed_airbag(fork=True)
-    print("\n=== snapshot-fork execution (airbag-normal) ===")
-    print(f"per-run {per_run_wall:.3f}s vs fork {forked_wall:.3f}s "
-          f"({per_run_wall / forked_wall:.1f}x)")
-    assert forked.outcome_histogram() == per_run.outcome_histogram()
+    fresh, fresh_wall = timed_airbag(reuse_platform=False)
+    laddered, laddered_wall = timed_airbag(reuse_platform=True)
+    print("\n=== golden-run ladder (airbag-normal) ===")
+    print(f"fresh builds {fresh_wall:.3f}s vs ladder {laddered_wall:.3f}s "
+          f"({fresh_wall / laddered_wall:.1f}x)")
+    assert laddered.outcome_histogram() == fresh.outcome_histogram()
 
     print("\nfault-space coverage:", f"{coverage.closure:.0%}")
     assert single.count(Outcome.HAZARDOUS) == 0

@@ -10,7 +10,7 @@ risk engine samples the *distribution* around it:
 2. re-derive the Fig. 2 stressor spec per sample, so a hot, loaded
    trajectory genuinely shifts the fault-rate mix;
 3. run the sampled scenarios through the ordinary campaign machinery
-   (snapshot-fork amortizes the shared fault-free prefix);
+   (the golden-run ladder skips the shared fault-free prefix);
 4. fold the outcome into the decision artifact: hazard probability
    with exact + score intervals, detection-latency percentiles,
    VaR/CVaR tail metrics, per-event attribution, and ASIL gates over
@@ -71,7 +71,7 @@ def main() -> None:
     print("== sampled mission environments ==")
     result = campaign.run(
         strategy, runs=200, backend="serial", batch_size=32,
-        trace=True, fork=True,
+        trace=True,
     )
     eventful = [s for s in strategy.samples if s.events]
     print(

@@ -486,11 +486,11 @@ def _declared_fields(cls: ast.ClassDef) -> _t.Optional[_t.Set[str]]:
 @rule
 class UndeclaredStateField(Rule):
     """A class that declares ``STATE_FIELDS`` promises that those are
-    all the attributes a run changes: warm reuse and snapshot-fork
-    restore exactly the declared fields.  An attribute rebound outside
-    ``__init__`` but missing from the declaration keeps whatever the
-    previous run left there, so a warm run silently differs from a
-    fresh one.  Fields declared by an ancestor class in the same file
+    all the attributes a run changes: warm reuse and the golden-run
+    ladder restore exactly the declared fields.  An attribute rebound
+    outside ``__init__`` but missing from the declaration keeps
+    whatever the previous run left there, so a warm run silently
+    differs from a fresh one.  Fields declared by an ancestor class in the same file
     count; declare the field, or pragma the line with why it is not
     run state."""
 

@@ -410,7 +410,6 @@ class Campaign:
         deadline_s: _t.Optional[float] = None,
         trace: _t.Optional[TraceConfig] = None,
         reuse_platform: bool = True,
-        fork: bool = False,
     ) -> _t.List[RunSpec]:
         """Freeze the next *count* runs into self-contained specs.
 
@@ -435,7 +434,6 @@ class Campaign:
                 deadline_s=deadline_s,
                 trace=trace,
                 reuse_platform=reuse_platform,
-                fork=fork,
             )
             for offset, scenario in enumerate(scenarios)
         ]
@@ -519,28 +517,22 @@ class Campaign:
         clock, host-specific, and outside every determinism contract.
 
         ``reuse_platform`` (default True) lets each worker keep one
-        warm platform per registry key and, instead of rebuilding,
-        restore before each run the kernel snapshot and module capture
-        (derived from the components' ``STATE_FIELDS``) taken at
-        elaboration — outcomes are bit-for-bit identical either way
-        (equivalence-tested), so the knob exists only for A/B
-        measurement and debugging.
+        warm platform per registry key and, instead of rebuilding and
+        re-simulating from time zero, restore before each run the
+        latest rung of its golden-run ladder at or before the run's
+        first injection: a kernel snapshot plus a module capture
+        (derived from the components' ``STATE_FIELDS``) taken along the
+        fault-free run, every ``duration // 64`` and, within a batch,
+        at a first-injection time two or more runs share.  Outcomes are
+        bit-for-bit identical either way (equivalence-tested), so the
+        knob exists only for A/B measurement and debugging; platforms
+        with an undeclared module build fresh regardless.
         ``chunk_size`` overrides the parallel executor's per-future
         batch size (``None`` auto-tunes; serial ignores it).  Neither
         knob is part of the checkpoint identity.
 
-        ``fork`` (default False) opts the campaign into snapshot-fork
-        execution: runs sharing a platform and earliest injection time
-        are grouped *within each batch*, their fault-free prefix is
-        simulated once, and every run in the group forks from a
-        mid-run kernel snapshot (:meth:`Simulator.snapshot`).  Requires
-        a platform whose modules all declare ``STATE_FIELDS``; anything
-        ineligible silently takes the per-run path.
-        Outcomes are bit-for-bit identical either way
-        (equivalence-tested), so like ``reuse_platform`` the knob is
-        excluded from the checkpoint identity.  Note the serial
-        default ``batch_size=1`` leaves nothing to group — pass an
-        explicit batch size to see fork-mode speedups.
+        ``fork`` is accepted and ignored: every warm run already starts
+        from the ladder, which is what ``fork=True`` used to opt into.
 
         ``prune`` (default None) accepts a
         :class:`~repro.analyze.reach.ReachabilityPruner`: planning is
@@ -644,7 +636,6 @@ class Campaign:
                     deadline_s=run_timeout_s,
                     trace=trace_config,
                     reuse_platform=reuse_platform,
-                    fork=fork,
                 )
                 index += len(specs)
                 if journal is not None:

@@ -17,9 +17,8 @@ batches, to a swappable :class:`Executor`:
   by run index, so aggregation is independent of worker scheduling.
 
 Both backends execute the *same* run body (``repro.core.runspec``):
-``execute_runspec`` per run and ``execute_fork_group`` per fork group,
-dispatched by the same ``dispatch_batch``, which is what the
-serial/parallel equivalence tests pin down.
+``execute_runspec`` per run, dispatched by the same ``dispatch_batch``,
+which is what the serial/parallel equivalence tests pin down.
 
 Fault tolerance
 ---------------
@@ -66,6 +65,7 @@ from .runspec import (
     dispatch_batch,
     error_outcome,
     execute_chunk_tolerant,
+    # Re-exported: perfbench/layers.py wraps executors.execute_fork_group.
     execute_fork_group,
     execute_runspec,
     execute_runspec_tolerant,
@@ -147,11 +147,9 @@ class SerialExecutor(Executor):
     Built either from explicit callables (any campaign, including ones
     whose factories are closures) or from a registry key.  Runs that
     permit ``reuse_platform`` on a capturable platform execute on one
-    warm platform, restored to its elaboration capture before each run
-    instead of re-elaborated, and fork-mode specs (``RunSpec.fork``)
-    sharing a platform and injection time run as snapshot-fork groups —
-    one shared prefix, N forked suffixes — with per-run fallback
-    whenever a group cannot fork.
+    warm platform, restored before each run to the latest capture of
+    its fault-free run before the run's first injection instead of
+    re-elaborated and re-simulated from time zero.
     """
 
     def __init__(
@@ -172,13 +170,8 @@ class SerialExecutor(Executor):
         except Exception as exc:  # noqa: BLE001 - degraded to a record  # vp-lint: disable=VP007 - deadlines degrade to TIMEOUT inside execute_runspec; nothing to re-raise here
             return error_outcome(spec, exc)
 
-    def _run_group(self, specs: _t.Sequence[RunSpec]) -> _t.List[RunOutcome]:
-        return execute_fork_group(
-            specs, self.factory, self.observe, self.classifier
-        )
-
     def run_batch(self, specs: _t.Sequence[RunSpec]) -> _t.List[RunOutcome]:
-        return dispatch_batch(specs, self._run_group, self._run_one)
+        return dispatch_batch(specs, self._run_one)
 
 
 class ParallelExecutor(Executor):

@@ -13,15 +13,17 @@ execution backends"):
    strategy feedback.
 
 Every backend runs specs through the same code, which is what makes
-serial and parallel campaigns bit-equal: :func:`dispatch_batch` forms a
-batch's fork groups, :func:`execute_runspec` and
-:func:`execute_fork_group` bring a platform to a run's start state —
-a fresh build, or a restore of a captured (kernel snapshot, module
-capture) pair — and both hand it to :func:`_run`, the one per-run body.
+serial and parallel campaigns bit-equal: :func:`dispatch_batch` runs a
+batch spec by spec through :func:`execute_runspec`, which brings a
+platform to the run's start state — a fresh build, or a restore of a
+rung of the platform's golden-run ladder, a (kernel snapshot, module
+capture) pair taken along the fault-free run — and hands it to
+:func:`_run`, the one per-run body.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import random
@@ -76,16 +78,10 @@ class RunSpec:
     Reuse never changes simulation content (that equivalence is
     test-pinned), so the flag is not part of the checkpoint identity.
 
-    ``fork`` opts the run into **snapshot-fork execution**: the
-    executing side may group specs sharing a platform and earliest
-    injection time, simulate the fault-free prefix once, snapshot the
-    kernel (:meth:`Simulator.snapshot`), and fork every run in the
-    group from the captured state.  Like ``reuse_platform`` it is an
-    execution strategy, not simulation content — fork-vs-fresh
-    equivalence is test-pinned — so it is likewise excluded from the
-    checkpoint identity.  Platforms opt in by declaring their modules'
-    ``STATE_FIELDS``; anything else silently falls back to per-run
-    execution.
+    A warm platform also starts each run from its **golden-run
+    ladder**: the latest capture of the fault-free run at or before the
+    spec's first injection time minus one (see :func:`_acquire_platform`).
+    That too is execution strategy, not simulation content.
     """
 
     index: int
@@ -98,7 +94,6 @@ class RunSpec:
     attempt: int = 0
     trace: _t.Optional[TraceConfig] = None
     reuse_platform: bool = True
-    fork: bool = False
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -135,11 +130,12 @@ class RunSpec:
                 if self.trace is not None else None
             ),
             "reuse_platform": self.reuse_platform,
-            "fork": self.fork,
         }
 
     @classmethod
     def from_jsonable(cls, payload: _t.Mapping[str, _t.Any]) -> "RunSpec":
+        # Unknown keys are ignored, so frames from a sender that still
+        # writes the retired ``fork`` flag decode unchanged.
         return cls(
             index=payload["index"],
             scenario=_scenario_from_jsonable(payload["scenario"]),
@@ -157,7 +153,6 @@ class RunSpec:
                 if payload.get("trace") is not None else None
             ),
             reuse_platform=payload.get("reuse_platform", True),
-            fork=payload.get("fork", False),
         )
 
 
@@ -442,19 +437,63 @@ def _resolve_trace_signals(
     return {}
 
 
-class _WarmPlatform(_t.NamedTuple):
-    """A cached platform, the factory that built it, and its
-    elaboration capture."""
+#: Fixed rungs per golden-run ladder: rung *k* sits at
+#: ``k * (duration // LADDER_RUNGS)``.  A constant, not an option.
+LADDER_RUNGS = 64
 
-    factory: _t.Callable
-    sim: Simulator
-    root: "Module"
+
+class _Rung(_t.NamedTuple):
+    """The platform as its fault-free run leaves it at ``time``.
+
+    Rung 0 is the elaboration capture: time 0, before delta cycle 0,
+    so a run from it arms its stressor normally.  Every later rung sits
+    between two :meth:`Simulator.run` calls and carries the counters a
+    continuous run reads there; a run from it arms its stressor with
+    :meth:`Stressor.arm_forked` above ``seq_base``, and a traced run
+    replays ``detections``, the ones the golden run fired up to
+    ``time``.
+    """
+
+    time: int
     kernel_state: "KernelState"
     platform_restore: _t.Callable[[], None]
+    seq_base: _t.Optional[int] = None
+    detections: _t.Tuple[_t.Tuple[int, str, str, str], ...] = ()
+
+
+class _WarmPlatform:
+    """A cached platform, the factory that built it, and its golden-run
+    ladder."""
+
+    __slots__ = (
+        "factory", "sim", "root", "elaboration", "ladders", "frozen",
+        "batch_rungs",
+    )
+
+    def __init__(self, factory, sim: Simulator, root: "Module", elaboration):
+        self.factory = factory
+        self.sim = sim
+        self.root = root
+        #: Rung 0: the capture taken right after elaboration.
+        self.elaboration: _Rung = elaboration
+        #: Fixed rungs built so far, by spacing and index:
+        #: ``ladders[s][k]`` sits at ``k * s``; ``ladders[s][0]`` is the
+        #: elaboration capture.
+        self.ladders: _t.Dict[int, _t.Dict[int, _Rung]] = {}
+        #: Set when the golden run reached state a capture refuses; the
+        #: ladder then stops growing.
+        self.frozen = False
+        #: Shared-time rungs of the batch in flight, by time.
+        self.batch_rungs: _t.Dict[int, _Rung] = {}
 
 
 #: Per-process warm-platform cache: platform key -> :class:`_WarmPlatform`.
 _WARM_PLATFORMS: _t.Dict[str, _WarmPlatform] = {}
+
+#: ``(platform, fork time)`` pairs two or more specs of the batch in
+#: flight share; :func:`dispatch_batch` fills and clears it.  Process-wide
+#: like the warm cache it serves: a process runs one batch at a time.
+_SHARED_FORK_TIMES: _t.Set[_t.Tuple[str, int]] = set()
 
 
 def clear_warm_platforms() -> None:
@@ -469,24 +508,141 @@ def _drop_warm(key: _t.Optional[str], sim: Simulator) -> None:
         del _WARM_PLATFORMS[key]
 
 
+def fork_time(spec: RunSpec) -> _t.Optional[int]:
+    """The earliest injection time of *spec*, or ``None`` when a run of
+    it cannot start past rung 0.
+
+    That takes a platform key and an earliest injection ``t1`` inside
+    the run window (``1 <= t1 <= duration``): the run then starts from
+    the latest rung at or before ``t1 - 1``, and every injector's
+    anchor wait (see ``Stressor._inject_at``) crosses that rung
+    identically on laddered and fresh runs.
+    """
+    if spec.platform is None or not spec.scenario.injections:
+        return None
+    t1 = min(planned.time for planned in spec.scenario.injections)
+    if t1 < 1 or t1 > spec.duration:
+        return None
+    return t1
+
+
+def _extend(
+    entry: _WarmPlatform, base: _Rung, time: int
+) -> _t.Optional[_Rung]:
+    """A rung at *time*, simulated along the golden run from *base*, or
+    ``None`` when the state there refuses a capture, which freezes the
+    ladder where it stands.
+
+    A :meth:`Simulator.run` call that resumes at a boundary runs one
+    empty delta cycle a continuous run would not; it is subtracted
+    before the capture, so a rung's counters are the continuous run's.
+    A climb from rung 0 probes the tie-break counter at the end of
+    delta cycle 0, where a fresh run's injectors take theirs (see
+    :meth:`Stressor.arm_forked`).  The new rung carries *base*'s
+    detections plus those fired on the way.
+    """
+    sim, root = entry.sim, entry.root
+    sim.restore(base.kernel_state, platform_restore=base.platform_restore)
+    sink = PrefixDetectionSink()
+    sink.detections.extend(base.detections)
+    seq_box: _t.List[int] = []
+
+    def _seq_probe(_sim):
+        if not seq_box:
+            seq_box.append(sim._seq)
+
+    if base.seq_base is None:
+        sim.delta_hooks.append(_seq_probe)
+    hooks.push_sink(sink)
+    try:
+        sim.run(until=time)
+    finally:
+        hooks.pop_sink(sink)
+        if _seq_probe in sim.delta_hooks:
+            sim.delta_hooks.remove(_seq_probe)
+    if base.time:
+        sim.delta_cycles_total -= 1
+    try:
+        platform_restore = functools.partial(
+            root.restore_state, root.capture_state()
+        )
+        kernel_state = sim.snapshot()
+    except SnapshotUnsupported:
+        entry.frozen = True
+        return None
+    return _Rung(
+        time, kernel_state, platform_restore,
+        seq_box[0] if base.seq_base is None else base.seq_base,
+        tuple(sink.detections),
+    )
+
+
+def _climb(entry: _WarmPlatform, spacing: int, index: int) -> _Rung:
+    """Fixed rung *index* of the ladder at *spacing*, built on first
+    need by climbing the golden run from the nearest rung below it —
+    or that rung itself, once the ladder is frozen."""
+    ladder = entry.ladders.get(spacing)
+    if ladder is None:
+        ladder = entry.ladders[spacing] = {0: entry.elaboration}
+    rung = ladder.get(index)
+    if rung is not None:
+        return rung
+    base = ladder[max(k for k in ladder if k < index)]
+    rung = None if entry.frozen else _extend(entry, base, index * spacing)
+    if rung is None:
+        return base
+    ladder[index] = rung
+    return rung
+
+
+def _rung_for(entry: _WarmPlatform, spec: RunSpec) -> _Rung:
+    """The rung a run of *spec* starts from: the latest one at or before
+    its fork time minus one, or that time's batch rung when the batch
+    in flight shares it (see :func:`dispatch_batch`)."""
+    t1 = fork_time(spec)
+    spacing = spec.duration // LADDER_RUNGS
+    if t1 is None or spacing == 0:
+        return entry.elaboration
+    fork_point = t1 - 1
+    fixed = _climb(entry, spacing, fork_point // spacing)
+    if (
+        fixed.time == fork_point
+        or entry.frozen
+        or (spec.platform, t1) not in _SHARED_FORK_TIMES
+    ):
+        return fixed
+    rung = entry.batch_rungs.get(fork_point)
+    if rung is None:
+        rung = _extend(entry, fixed, fork_point)
+        if rung is None:
+            return fixed
+        entry.batch_rungs[fork_point] = rung
+    return rung
+
+
 def _acquire_platform(
     spec: RunSpec,
     factory: "_t.Callable[[Simulator], Module]",
     kernel_factory: _t.Optional[_t.Callable[[], Simulator]] = None,
-) -> _t.Tuple[Simulator, "Module", bool]:
-    """``(sim, root, warm)`` to run *spec* on.
+) -> _t.Tuple[Simulator, "Module", _t.Optional[_Rung]]:
+    """``(sim, root, rung)`` to run *spec* on; *rung* is the golden-run
+    capture the platform was restored to, ``None`` for a fresh build.
 
     The warm path engages when the spec allows reuse and carries a
-    platform key.  A miss elaborates and caches the platform with a
-    module capture (:meth:`Module.capture_state`) and a strict
-    :meth:`Simulator.snapshot`, both taken before any per-run
-    scaffolding is armed; a hit from the same factory restores that
-    pair.  A key re-registered with another factory — or a
-    caller-supplied factory sharing a key — therefore misses.  A
-    platform with an undeclared module fails its module capture, and
-    one whose elaboration leaves a bare-generator process alive (which
-    a lenient snapshot would silently drop from every warm run) fails
-    the strict snapshot: either builds fresh every time.
+    platform key.  A miss elaborates and caches the platform with rung
+    0 of its ladder: a module capture (:meth:`Module.capture_state`)
+    and a strict :meth:`Simulator.snapshot`, both taken before any
+    per-run scaffolding is armed.  A key re-registered with another
+    factory — or a caller-supplied factory sharing a key — therefore
+    misses.  A platform with an undeclared module fails its module
+    capture, and one whose elaboration leaves a bare-generator process
+    alive (which a lenient snapshot would silently drop from every warm
+    run) fails the strict snapshot: either builds fresh every time.
+
+    A cached platform is restored to the latest rung at or before the
+    spec's fork time minus one (:func:`_rung_for`), built on first need
+    by climbing the fault-free run from the nearest rung below, so the
+    run re-simulates none of the prefix it shares with the golden run.
 
     A non-default *kernel_factory* (instrumented kernels: the
     order-sensitivity checker's shuffled scheduler) forces the fresh
@@ -496,25 +652,38 @@ def _acquire_platform(
     key = spec.platform
     if kernel_factory is None and spec.reuse_platform and key:
         entry = _WARM_PLATFORMS.get(key)
-        if entry is not None and entry.factory is factory:
-            entry.sim.restore(
-                entry.kernel_state, platform_restore=entry.platform_restore
+        if entry is None or entry.factory is not factory:
+            sim = Simulator()
+            root = factory(sim)
+            try:
+                module_state = root.capture_state()
+                kernel_state = sim.snapshot()
+            except SnapshotUnsupported:
+                return sim, root, None
+            entry = _WARM_PLATFORMS[key] = _WarmPlatform(
+                factory, sim, root, _Rung(
+                    0, kernel_state,
+                    functools.partial(root.restore_state, module_state),
+                ),
             )
-            return entry.sim, entry.root, True
-        sim = Simulator()
-        root = factory(sim)
         try:
-            module_state = root.capture_state()
-            kernel_state = sim.snapshot()
-        except SnapshotUnsupported:
-            return sim, root, False
-        _WARM_PLATFORMS[key] = _WarmPlatform(
-            factory, sim, root, kernel_state,
-            functools.partial(root.restore_state, module_state),
+            rung = _rung_for(entry, spec)
+        except BaseException:
+            # The golden run raised on the climb: the platform is
+            # mid-run in an unknown state, so the next run re-elaborates.
+            _drop_warm(key, entry.sim)
+            raise
+        entry.sim.restore(
+            rung.kernel_state, platform_restore=rung.platform_restore
         )
-        return sim, root, True
+        if rung.time:
+            # Resuming run() at a rung executes one empty delta cycle a
+            # continuous run would not; undo it so the run's counters
+            # equal a fresh run's byte for byte.
+            entry.sim.delta_cycles_total -= 1
+        return entry.sim, entry.root, rung
     sim = Simulator() if kernel_factory is None else kernel_factory()
-    return sim, factory(sim), False
+    return sim, factory(sim), None
 
 
 def _run(
@@ -526,20 +695,17 @@ def _run(
     golden: _t.Optional[RunObservation],
     trace_signals: _t.Optional[_t.Callable],
     wall_start: float,
-    outlives: bool,
-    seq_base: _t.Optional[int] = None,
-    prefix_detections: _t.Optional[_t.Sequence[_t.Any]] = None,
+    rung: _t.Optional[_Rung],
 ) -> RunOutcome:
     """Run *spec* on a platform already at its start state.
 
-    The stressor arms normally, or with :meth:`Stressor.arm_forked`
-    above *seq_base* on a forked kernel; a traced spec's recorder is
-    armed before simulation starts, seeded with a fork prefix's
-    *prefix_detections*.  On every exit the recorder is disarmed (the
-    detection hook bus is process-global), and when the platform
-    *outlives* the run — warm, or a fork group's base — the stressor
-    subtree is detached.  A raise evicts the platform from the warm
-    cache and propagates.
+    The stressor arms normally on a fresh build or at rung 0, and with
+    :meth:`Stressor.arm_forked` at a later *rung*; a traced spec's
+    recorder is armed before simulation starts, seeded with the rung's
+    prefix detections.  On every exit the recorder is disarmed (the
+    detection hook bus is process-global), and on a cached platform
+    (any *rung*) the stressor subtree is detached.  A raise evicts the
+    platform from the warm cache and propagates.
     """
     reference = spec.golden if spec.golden is not None else golden
     if reference is None:
@@ -553,14 +719,14 @@ def _run(
     )
     run_trace: _t.Optional[RunTrace] = None
     try:
-        if seq_base is None:
+        if rung is None or rung.seq_base is None:
             stressor.arm(spec.scenario)
         else:
-            stressor.arm_forked(spec.scenario, seq_base)
+            stressor.arm_forked(spec.scenario, rung.seq_base)
         if spec.trace is not None:
             run_trace = RunTrace(spec.trace, spec.index, spec.run_seed)
-            if prefix_detections is not None:
-                run_trace.preload_detections(prefix_detections)
+            if rung is not None:
+                run_trace.preload_detections(rung.detections)
             run_trace.arm(
                 sim, _resolve_trace_signals(spec, root, trace_signals)
             )
@@ -626,7 +792,7 @@ def _run(
     finally:
         if run_trace is not None:
             run_trace.disarm()
-        if outlives:
+        if rung is not None:
             # Detach reaps the stressor subtree — kills its injection
             # processes and unregisters anything it created from the
             # kernel — so a reused kernel's memory stays flat and the
@@ -646,10 +812,12 @@ def execute_runspec(
     """Execute one spec and classify the result.
 
     A spec that permits ``reuse_platform`` keeps the elaborated
-    platform between calls, restoring its elaboration capture instead
-    of rebuilding, whenever the platform can be captured (see
-    :func:`_acquire_platform`); otherwise every call builds a fresh
-    kernel and platform — semantically identical, just slower.
+    platform between calls and starts from the latest capture of its
+    fault-free run before the spec's first injection, instead of
+    rebuilding and re-simulating that prefix, whenever the platform can
+    be captured (see :func:`_acquire_platform`); otherwise every call
+    builds a fresh kernel and platform — semantically identical, just
+    slower.
 
     *kernel_factory* (default: plain :class:`Simulator`) builds the
     kernel for the fresh path — diagnostic harnesses pass an
@@ -662,10 +830,10 @@ def execute_runspec(
     executors need no shared state.
     """
     wall_start = time.perf_counter()  # vp-lint: disable=VP005 - wall_s accounting, not model behavior
-    sim, root, warm = _acquire_platform(spec, factory, kernel_factory)
+    sim, root, rung = _acquire_platform(spec, factory, kernel_factory)
     return _run(
         spec, sim, root, observe, classifier, golden, trace_signals,
-        wall_start, outlives=warm,
+        wall_start, rung,
     )
 
 
@@ -689,68 +857,39 @@ def execute_runspec_from_registry(spec: RunSpec) -> RunOutcome:
     return execute_runspec(spec, bundle.factory, bundle.observe, classifier)
 
 
-# -- snapshot-fork execution -------------------------------------------------
-
-
-class ForkUnsupported(RuntimeError):
-    """This group cannot run fork-mode; callers fall back to per-run
-    execution (which is always semantically equivalent, just slower)."""
-
-
-def fork_time(spec: RunSpec) -> _t.Optional[int]:
-    """The pre-injection fork point of *spec*, or ``None``.
-
-    A spec can fork when it opted in, carries a platform key, and its
-    scenario's earliest injection lands strictly inside the run window
-    (``1 <= t1 <= duration``) — the shared prefix is then ``[0, t1-1]``
-    and every injector's anchor wait (see ``Stressor._inject_at``)
-    crosses the fork boundary identically on forked and fresh runs.
-    """
-    if not spec.fork or spec.platform is None:
-        return None
-    if not spec.scenario.injections:
-        return None
-    t1 = min(planned.time for planned in spec.scenario.injections)
-    if t1 < 1 or t1 > spec.duration:
-        return None
-    return t1
-
-
-def fork_groups(
+def shared_fork_times(
     specs: _t.Sequence[RunSpec],
-) -> _t.Tuple[
-    _t.List[_t.Tuple[_t.Tuple[str, int], _t.List[RunSpec]]],
-    _t.List[RunSpec],
-]:
-    """Partition *specs* into ``(groups, singles)``.
+) -> _t.Set[_t.Tuple[str, int]]:
+    """The ``(platform, fork time)`` pairs two or more of *specs* share."""
+    counts = collections.Counter(
+        (spec.platform, fork_time(spec)) for spec in specs
+    )
+    return {
+        key for key, count in counts.items()
+        if count > 1 and key[1] is not None
+    }
 
-    A group keys on ``(platform, fork_time)`` — the prefix those specs
-    share.  Groups of one fall back to ``singles`` (a one-run "group"
-    pays the snapshot without amortizing it).  Order within a group and
-    among singles follows the input; callers reassemble results by
-    spec index.
+
+def dispatch_batch(
+    specs: _t.Sequence[RunSpec],
+    run_one: _t.Callable[[RunSpec], RunOutcome],
+) -> _t.List[RunOutcome]:
+    """Run a batch through *run_one*, one spec at a time, in spec order.
+
+    Every run starts from its platform's ladder.  A fork time two or
+    more specs of the batch share on one platform
+    (:func:`shared_fork_times`) also gets a rung of its own at that
+    time minus one, built on first use from the nearest fixed rung and
+    dropped when the batch ends: a batch pinned to one injection time
+    simulates its prefix once.
     """
-    buckets: _t.Dict[_t.Tuple[str, int], _t.List[RunSpec]] = {}
-    order: _t.List[_t.Tuple[str, int]] = []
-    singles: _t.List[RunSpec] = []
-    for spec in specs:
-        t1 = fork_time(spec)
-        if t1 is None:
-            singles.append(spec)
-            continue
-        key = (spec.platform, t1)
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(spec)
-    groups = []
-    for key in order:
-        members = buckets[key]
-        if len(members) == 1:
-            singles.append(members[0])
-        else:
-            groups.append((key, members))
-    return groups, singles
+    _SHARED_FORK_TIMES.update(shared_fork_times(specs))
+    try:
+        return [run_one(spec) for spec in specs]
+    finally:
+        _SHARED_FORK_TIMES.clear()
+        for entry in _WARM_PLATFORMS.values():
+            entry.batch_rungs.clear()
 
 
 def execute_fork_group(
@@ -761,147 +900,23 @@ def execute_fork_group(
     golden: _t.Optional[RunObservation] = None,
     trace_signals: _t.Optional[_t.Callable] = None,
 ) -> _t.List[RunOutcome]:
-    """Execute a fork group: one shared prefix, N forked runs.
+    """Run *specs* as one batch (:func:`dispatch_batch`); a member that
+    raises comes back as its terminal error record.
 
-    All *specs* must share a platform and fork time (as produced by
-    :func:`fork_groups`).  The fault-free prefix ``[0, t1-1]`` is
-    simulated once on the platform :func:`_acquire_platform` hands out
-    (the warm one when the lead spec allows reuse); a module capture
-    plus :meth:`Simulator.snapshot` then pin the boundary, and each
-    spec runs the suffix through :func:`_run` from a restore of that
-    capture.  Every result record — outcome, observation, kernel
-    counters (minus wall clock), digest — is byte-identical to per-run
-    execution; that equivalence is property-test pinned.  A member that raises comes back as the same
-    terminal record the tolerant per-run path emits.
-
-    Raises :class:`ForkUnsupported` when the platform holds an
-    undeclared module or a bare-generator process, or the prefix itself
-    fails — callers fall back to per-run execution, which reproduces
-    any prefix failure verbatim in each run's own record.
+    Kept under its old name for callers that still wrap it: every run
+    now starts from the golden-run ladder, so a group needs no prefix
+    of its own.
     """
-    t1 = fork_time(specs[0])
-    if t1 is None:
-        raise ForkUnsupported("lead spec has no fork point")
-    for spec in specs:
-        if fork_time(spec) != t1 or spec.platform != specs[0].platform:
-            raise ValueError(
-                "execute_fork_group requires specs sharing one "
-                "(platform, fork_time); use fork_groups() to partition"
+
+    def run_one(spec: RunSpec) -> RunOutcome:
+        try:
+            return execute_runspec(
+                spec, factory, observe, classifier, golden, trace_signals
             )
+        except Exception as exc:  # vp-lint: disable=VP007 - deadlines degrade to TIMEOUT inside execute_runspec; a raise becomes the same terminal record the tolerant path emits
+            return error_outcome(spec, exc)
 
-    sim, root, _warm = _acquire_platform(specs[0], factory)
-
-    # Probe the tie-break counter at the end of delta cycle 0: on a
-    # fresh run the stressor's injectors step *last* in that cycle (the
-    # stressor is built after the platform), so their wheel entries
-    # take the sequence numbers just above this value.  arm_forked
-    # re-arms them at fractional offsets above the same base, which
-    # reproduces the fresh ordering exactly (see Stressor.arm_forked).
-    seq_box: _t.List[int] = []
-
-    def _seq_probe(_sim):
-        if not seq_box:
-            seq_box.append(sim._seq)
-
-    sim.delta_hooks.append(_seq_probe)
-
-    # Detections fired during the prefix (a watchdog absorbing a glitch,
-    # ECC scrubbing) belong to every forked run's trace, exactly as a
-    # fresh run's recorder — armed from time zero — would see them.
-    prefix_sink: _t.Optional[PrefixDetectionSink] = None
-    if any(spec.trace is not None for spec in specs):
-        prefix_sink = PrefixDetectionSink()
-        hooks.push_sink(prefix_sink)
-    try:
-        try:
-            sim.run(until=t1 - 1, deadline_s=specs[0].deadline_s)
-        except Exception as exc:  # vp-lint: disable=VP007 - prefix failure aborts fork mode; the per-run fallback re-raises identically inside each run's own record
-            _drop_warm(specs[0].platform, sim)
-            raise ForkUnsupported(
-                f"prefix failed: {type(exc).__name__}: {exc}"
-            ) from exc
-    finally:
-        if prefix_sink is not None:
-            hooks.pop_sink(prefix_sink)
-        sim.delta_hooks.remove(_seq_probe)
-    if not seq_box:
-        raise ForkUnsupported("prefix executed no delta cycle")
-    seq_base = seq_box[0]
-
-    try:
-        platform_restore = functools.partial(
-            root.restore_state, root.capture_state()
-        )
-        kernel_state = sim.snapshot()
-    except SnapshotUnsupported as exc:
-        raise ForkUnsupported(str(exc)) from exc
-    prefix_detections = (
-        prefix_sink.detections if prefix_sink is not None else None
-    )
-
-    outcomes: _t.List[RunOutcome] = []
-    for position, spec in enumerate(specs):
-        wall_start = time.perf_counter()  # vp-lint: disable=VP005 - wall_s accounting, not model behavior
-        try:
-            if position > 0:
-                sim.restore(kernel_state, platform_restore=platform_restore)
-            # Boundary compensation: resuming run() at t1-1 executes one
-            # empty delta cycle a continuous run would not; undo it so
-            # forked kernel counters equal fresh ones byte-for-byte.
-            sim.delta_cycles_total -= 1
-            outcomes.append(_run(
-                spec, sim, root, observe, classifier, golden,
-                trace_signals, wall_start, outlives=True,
-                seq_base=seq_base, prefix_detections=prefix_detections,
-            ))
-        except Exception as exc:  # vp-lint: disable=VP007 - degraded to the same terminal record the tolerant per-run path emits; the next iteration restores the snapshot regardless
-            outcomes.append(error_outcome(spec, exc))
-    return outcomes
-
-
-def execute_fork_group_from_registry(
-    specs: _t.Sequence[RunSpec],
-) -> _t.List[RunOutcome]:
-    """Worker-side fork-group entry point (picklable by reference)."""
-    spec = specs[0]
-    if spec.platform is None:
-        raise ValueError(
-            f"run {spec.index}: spec carries no platform key — only "
-            f"registry-backed campaigns can execute out of process"
-        )
-    from ..platforms import registry
-
-    bundle = registry.get_platform(spec.platform)
-    classifier = registry.get_classifier(spec.platform)
-    return execute_fork_group(
-        specs, bundle.factory, bundle.observe, classifier
-    )
-
-
-def dispatch_batch(
-    specs: _t.Sequence[RunSpec],
-    run_group: _t.Callable[[_t.Sequence[RunSpec]], _t.List[RunOutcome]],
-    run_one: _t.Callable[[RunSpec], RunOutcome],
-) -> _t.List[RunOutcome]:
-    """Run a batch: fork groups through *run_group*, the rest — and
-    every member of a group the platform cannot fork
-    (:class:`ForkUnsupported`) — one by one through *run_one*.
-
-    Specs sharing a platform and fork time form a group (see
-    :func:`fork_groups`); records come back in spec order either way.
-    """
-    groups, singles = fork_groups(specs)
-    done: _t.Dict[int, RunOutcome] = {}
-    for _key, members in groups:
-        try:
-            results = run_group(members)
-        except ForkUnsupported:
-            results = [run_one(spec) for spec in members]
-        for spec, outcome in zip(members, results):
-            done[spec.index] = outcome
-    for spec in singles:
-        done[spec.index] = run_one(spec)
-    return [done[spec.index] for spec in specs]
+    return dispatch_batch(specs, run_one)
 
 
 def execute_runspec_tolerant(spec: RunSpec) -> RunOutcome:
@@ -927,11 +942,11 @@ def execute_chunk_tolerant(
 ) -> _t.List[RunOutcome]:
     """Worker-side entry point for one contiguous chunk of specs.
 
-    Runs the chunk through :func:`dispatch_batch` — the same grouping
-    and per-run fallback the serial executor uses — with the tolerant
-    per-run path, so a chunk's records are byte-identical to the same
-    specs dispatched one future each: per-run deadlines, degradation
-    labels, and digests all come from the same code.  One pickled
+    Runs the chunk through :func:`dispatch_batch` — the same batch
+    rungs the serial executor uses — with the tolerant per-run path,
+    so a chunk's records are byte-identical to the same specs
+    dispatched one future each: per-run deadlines, degradation labels,
+    and digests all come from the same code.  One pickled
     future per *chunk* instead of per *run* is where the dispatch
     saving comes from (and within a chunk, warm-platform reuse never
     pays the pool's pickling round-trip between consecutive runs).
@@ -942,6 +957,4 @@ def execute_chunk_tolerant(
     ``ParallelExecutor.run_batch``), which re-derives the crash /
     hang attribution at run granularity.
     """
-    return dispatch_batch(
-        specs, execute_fork_group_from_registry, execute_runspec_tolerant
-    )
+    return dispatch_batch(specs, execute_runspec_tolerant)

@@ -88,14 +88,15 @@ class Stressor(Module):
     def arm_forked(self, scenario: ErrorScenario, seq_base: int) -> None:
         """Arm *scenario* on a kernel restored from a mid-run snapshot.
 
-        Snapshot-fork execution (see ``execute_fork_group``) resumes
-        the simulation one time unit before the scenario's earliest
-        injection time — the fork point every injector's first wait
-        anchors to.  On a fresh run those injector processes step once
+        A run from a rung of the golden-run ladder (see
+        ``runspec._acquire_platform``) resumes the simulation at the
+        rung, at or before one time unit before the scenario's earliest
+        injection time — the anchor every injector's first wait
+        targets.  On a fresh run those injector processes step once
         during delta cycle 0 and park on the wheel with the *last*
         sequence numbers issued in that cycle; here they are primed
         directly and pushed with fractional sequence numbers just
-        above *seq_base* (the prefix kernel's counter at end of its
+        above *seq_base* (the golden run's counter at the end of its
         cycle 0), which reproduces the fresh tie-break order exactly.
         """
         self.scenario = scenario
@@ -114,10 +115,11 @@ class Stressor(Module):
     def _inject_at(self, planned, point, anchor=None):
         # The anchor wait is the pre-injection fork point: every
         # injector of a scenario first waits to the scenario's earliest
-        # injection time, so a forked run (resuming at anchor-1) and a
-        # fresh run produce identical wait sequences from the anchor
-        # on.  For the earliest injection the anchor wait IS its
-        # injection wait, so single-injection scenarios are unchanged.
+        # injection time, so a forked run (resuming at any rung before
+        # the anchor) and a fresh run produce identical wait sequences
+        # from the anchor on.  For the earliest injection the anchor
+        # wait IS its injection wait, so single-injection scenarios are
+        # unchanged.
         if anchor is not None:
             anchor_delay = anchor - self.sim.now
             if anchor_delay > 0:

@@ -3,13 +3,12 @@
 ``python -m repro.distributed.worker --connect HOST:PORT`` attaches to
 a coordinator, pulls leases, executes them through the exact tolerant
 routines the process-pool backend ships to its workers
-(:func:`~repro.core.runspec.execute_runspec_tolerant` per run,
-:func:`~repro.core.runspec.execute_chunk_tolerant` when a lease
-carries fork-mode specs), and streams one ``result`` frame back per
-completed run.  Streaming — rather than returning the lease as one
-block — is what gives the coordinator run-granular failure
-attribution: when this process dies mid-lease, every already-streamed
-outcome is safe, and only genuinely unexecuted runs requeue.
+(:func:`~repro.core.runspec.execute_runspec_tolerant` per run), and
+streams one ``result`` frame back per completed run.  Streaming —
+rather than returning the lease as one block — is what gives the
+coordinator run-granular failure attribution: when this process dies
+mid-lease, every already-streamed outcome is safe, and only genuinely
+unexecuted runs requeue.
 
 Identical execution code on every backend is the point: a worker on
 another host builds its platform from the spec's registry key, keeps
@@ -39,11 +38,7 @@ import socket
 import threading
 import typing as _t
 
-from ..core.runspec import (
-    RunSpec,
-    execute_chunk_tolerant,
-    execute_runspec_tolerant,
-)
+from ..core.runspec import RunSpec, execute_runspec_tolerant
 from . import protocol
 from .discovery import parse_endpoint, resolve_endpoint
 
@@ -63,17 +58,10 @@ def _heartbeat_loop(
 
 
 def _execute_lease(specs: _t.Sequence[RunSpec]) -> _t.Iterator:
-    """Yield outcomes for one lease, in lease (grant) order.
-
-    Fork-mode leases must run as a group (the snapshot amortization is
-    the whole point of fork specs), so their results arrive after the
-    group completes; everything else streams run by run.
-    """
-    if any(spec.fork for spec in specs):
-        yield from execute_chunk_tolerant(specs)
-    else:
-        for spec in specs:
-            yield execute_runspec_tolerant(spec)
+    """Yield outcomes for one lease, run by run, in lease (grant)
+    order; each run starts from this process's golden-run ladder."""
+    for spec in specs:
+        yield execute_runspec_tolerant(spec)
 
 
 def run_worker(

@@ -89,12 +89,13 @@ class RunTrace:
     ) -> None:
         """Replay detections recorded *before* this trace was armed.
 
-        Snapshot-fork execution simulates the shared pre-injection
-        prefix once, with a :class:`PrefixDetectionSink` on the hook
-        bus; each forked run replays the collected prefix detections
-        through :meth:`record_detection` before arming, so the event
-        budget and ordering behave exactly as if this recorder had been
-        listening from time zero (as it is on a fresh run).
+        A run from a rung of the golden-run ladder skips the
+        pre-injection prefix, whose detections a
+        :class:`PrefixDetectionSink` collected while the ladder was
+        built; the run replays the ones up to its rung through
+        :meth:`record_detection` before arming, so the event budget and
+        ordering behave exactly as if this recorder had been listening
+        from time zero (as it is on a fresh run).
         """
         for time, source, mechanism, label in detections:
             self.record_detection(time, source, mechanism, label)
@@ -260,8 +261,9 @@ class RunTrace:
 class PrefixDetectionSink:
     """Hook-bus sink that buffers raw detections for later replay.
 
-    Armed around the shared prefix of a snapshot-fork group; the
-    collected tuples seed every forked run's :class:`RunTrace` via
+    Armed while the golden-run ladder climbs the fault-free run; each
+    rung keeps the tuples collected up to its time, and they seed the
+    :class:`RunTrace` of every run from that rung via
     :meth:`RunTrace.preload_detections`.  Unbounded on purpose — the
     per-run event budget is applied at replay time, where it matches
     the fresh-run accounting.

@@ -25,12 +25,12 @@ How a platform's state is captured is not the bundle's business: a
 worker elaborates the platform once, captures its module tree
 (:meth:`~repro.kernel.Module.capture_state`, driven by each
 component's ``STATE_FIELDS``) and the kernel right after the factory
-returns, and restores that capture before every run (**warm reuse**);
-runs sharing a fault-free prefix fork from a capture taken at its end
-(**snapshot-fork**).  A platform holding a module whose class declares
-no ``STATE_FIELDS``, or whose factory leaves a bare-generator process
-alive, is elaborated anew for every run — correct by construction,
-just slower.  The ``reset``, ``capture_state`` and
+returns, and before every run restores that capture or a later one
+taken along the platform's fault-free run (**warm reuse** and the
+**golden-run ladder**).  A platform holding a module whose class
+declares no ``STATE_FIELDS``, or whose factory leaves a
+bare-generator process alive, is elaborated anew for every run —
+correct by construction, just slower.  The ``reset``, ``capture_state`` and
 ``restore_state`` hooks are still accepted and stored for older
 callers, but nothing reads them.
 
@@ -102,7 +102,7 @@ def register_platform(
     shadowing would make parent and worker processes disagree about
     what a key means.  *reset*, *capture_state* and *restore_state* are
     accepted and stored so older callers keep working, but ignored:
-    the components' ``STATE_FIELDS`` decide warm reuse and fork.
+    the components' ``STATE_FIELDS`` decide warm reuse and the ladder.
     """
     if name in _REGISTRY and not replace:
         raise ValueError(

@@ -8,7 +8,7 @@ Three layers turn the error-effect simulator into a risk engine:
   overlays, all from one explicit seed;
 * :mod:`~repro.risk.strategy` — :class:`SampledScenarioStrategy`
   bridges each drawn trajectory into the existing planner/executor/
-  fork/checkpoint stack as ordinary error scenarios, re-deriving the
+  ladder/checkpoint stack as ordinary error scenarios, re-deriving the
   Fig. 2 rate scaling per sample;
 * :mod:`~repro.risk.report` / :mod:`~repro.risk.gates` —
   :class:`RiskReport` folds the campaign into hazard probabilities

@@ -25,8 +25,9 @@ Determinism: the report is a pure fold over run records, digests, and
 sampled environments in run-index order, and :meth:`RiskReport.canonical`
 serializes only simulation-determined content (no wall-clock, attempt,
 or host-dependent fields).  The same seed therefore yields a
-byte-identical canonical report on serial, parallel, and snapshot-fork
-backends — pinned by the equivalence tests.
+byte-identical canonical report on serial and parallel backends, from
+fresh builds or the golden-run ladder — pinned by the equivalence
+tests.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ class RiskReport:
     def canonical(self) -> str:
         """Byte-stable serialization of the simulation-determined
         content — the equivalence tests compare this string across
-        serial, parallel, and fork executions."""
+        serial, parallel, fresh-build and laddered executions."""
         return json.dumps(
             self.to_jsonable(), sort_keys=True, separators=(",", ":")
         )

@@ -2,8 +2,8 @@
 
 :class:`SampledScenarioStrategy` is an ordinary
 :class:`~repro.core.strategies.Strategy`, so sampled risk campaigns run
-through the existing planner/executor, snapshot-fork, and checkpoint
-machinery *unchanged*.  Per scenario it:
+through the existing planner/executor, golden-run ladder, and
+checkpoint machinery *unchanged*.  Per scenario it:
 
 1. draws the next :class:`~repro.risk.sampler.SampledEnvironment` from
    its :class:`~repro.risk.sampler.StressSampler`;
@@ -15,8 +15,8 @@ machinery *unchanged*.  Per scenario it:
 3. picks descriptors by the sample's derived rate shares, an operating
    state by the sample's load-tilted importance weights (correction
    retained in ``sampling_weight``), and injection times from the fault
-   space (optionally pinned to one instant so whole batches share a
-   snapshot-fork group).
+   space (optionally pinned to one instant so whole batches share one
+   batch rung of the golden-run ladder).
 
 Planning is per campaign batch: :meth:`~SampledScenarioStrategy.next_batch`
 plans the whole batch from one block of sampler draws
@@ -29,10 +29,10 @@ same order.
 
 Determinism contract: scenario content is a pure function of the
 sampler's seed and the campaign rng handed to :meth:`next_batch`.
-Planning happens only in the planner process, so serial, parallel, and
-fork backends see the identical scenario stream, and a checkpoint
-resume — which replans with a freshly constructed strategy under the
-same seeds — reproduces it byte for byte.
+Planning happens only in the planner process, so every backend sees
+the identical scenario stream, and a checkpoint resume — which
+replans with a freshly constructed strategy under the same seeds —
+reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -69,10 +69,9 @@ class SampledScenarioStrategy(Strategy):
         importance correction lands in ``sampling_weight`` as usual.
     injection_time:
         Optional fixed injection instant.  When set, every scenario of
-        a campaign shares one fault-free prefix and thus one
-        snapshot-fork group — the shape ``Campaign.run(fork=True)``
-        amortizes.  When ``None``, times are drawn from the space's
-        bins per injection.
+        a campaign shares one fault-free prefix and thus, within a
+        batch, one batch rung of the golden-run ladder.  When ``None``,
+        times are drawn from the space's bins per injection.
     """
 
     def __init__(

@@ -127,3 +127,31 @@ def airbag_campaign():
         duration=20_000_000,  # 20 ms
         seed=42,
     )
+
+
+class RunCounter:
+    """Counts ``Simulator.run`` calls and sums the span each one
+    simulates (``until - now`` at entry)."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.calls = 0
+        self.simulated = 0
+
+
+@pytest.fixture
+def run_counter(monkeypatch):
+    """A :class:`RunCounter` over every ``Simulator.run`` call in the
+    test."""
+    counter = RunCounter()
+    original = Simulator.run
+
+    def run(sim, until=None, deadline_s=None):
+        counter.calls += 1
+        counter.simulated += until - sim.now
+        return original(sim, until=until, deadline_s=deadline_s)
+
+    monkeypatch.setattr(Simulator, "run", run)
+    return counter

@@ -1,14 +1,15 @@
-"""Example-based equivalence and plumbing tests for snapshot-fork
-execution.
+"""Example-based equivalence and plumbing tests for the golden-run
+ladder.
 
-The contract under test: grouping runs by shared fault-free prefix,
-simulating that prefix once, and forking every run from the mid-run
-kernel snapshot (:meth:`Simulator.snapshot` + the module capture the
-components' ``STATE_FIELDS`` declare) is *invisible* in campaign
-results — outcomes, observations, kernel counters (minus wall clock),
-and trace digests are byte-identical to per-run execution, and
-anything fork-ineligible silently takes the per-run path.  The
-generative version lives in
+The contract under test: starting each run from the latest capture of
+the platform's fault-free run before the run's first injection — a
+rung of the ladder (:meth:`Simulator.snapshot` + the module capture the
+components' ``STATE_FIELDS`` declare), or a batch rung at a first
+injection time several specs share — is *invisible* in campaign
+results: outcomes, observations, kernel counters (minus wall clock),
+trace digests and journals are byte-identical to per-run execution
+from a fresh build, and anything that cannot be captured builds fresh
+without simulating any prefix.  The generative version lives in
 ``tests/property/test_snapshot_properties.py``.
 """
 
@@ -21,15 +22,17 @@ from repro.core import Campaign, RandomStrategy, TraceConfig
 from repro.core.checkpoint import campaign_key
 from repro.core.executors import SerialExecutor
 from repro.core.runspec import (
-    ForkUnsupported,
+    LADDER_RUNGS,
+    _WARM_PLATFORMS,
     RunSpec,
     clear_warm_platforms,
+    dispatch_batch,
     execute_chunk_tolerant,
     execute_fork_group,
-    execute_fork_group_from_registry,
     execute_runspec,
-    fork_groups,
+    execute_runspec_tolerant,
     fork_time,
+    shared_fork_times,
 )
 from repro.core.scenario import ErrorScenario, FaultSpace, PlannedInjection
 from repro.faults import SENSOR_OFFSET_DRIFT, SENSOR_STUCK, SRAM_SEU
@@ -62,8 +65,7 @@ def _space(key, descriptors):
     )
 
 
-def _spec(key, index, injections, golden, trace=None, fork=True,
-          run_seed=None):
+def _spec(key, index, injections, golden, trace=None, run_seed=None):
     return RunSpec(
         index=index,
         scenario=ErrorScenario(name=f"fork_{index}", injections=injections),
@@ -72,7 +74,6 @@ def _spec(key, index, injections, golden, trace=None, fork=True,
         platform=key,
         golden=golden,
         trace=trace,
-        fork=fork,
     )
 
 
@@ -132,7 +133,7 @@ def _fresh(specs, key):
 
 
 # ---------------------------------------------------------------------------
-# fork_time / fork_groups plumbing
+# fork_time / shared_fork_times plumbing
 # ---------------------------------------------------------------------------
 
 class TestForkPlanning:
@@ -154,15 +155,22 @@ class TestForkPlanning:
     def test_fork_time_of_an_eligible_spec(self):
         assert fork_time(self._one()) == T1
 
-    def test_fork_time_requires_opt_in(self):
-        assert fork_time(self._one(fork=False)) is None
+    def test_fork_time_needs_no_opt_in(self):
+        """The retired ``fork`` flag is gone from the spec; a frame from
+        a sender that still writes it decodes, and the spec still forks
+        from the ladder."""
+        payload = self._one().to_jsonable()
+        assert "fork" not in payload
+        legacy = RunSpec.from_jsonable({**payload, "fork": False})
+        assert legacy == self._one()
+        assert fork_time(legacy) == T1
 
     def test_fork_time_requires_platform_key(self):
         spec = self._one()
         spec = RunSpec(
             index=spec.index, scenario=spec.scenario,
             run_seed=spec.run_seed, duration=spec.duration,
-            platform=None, golden={}, fork=True,
+            platform=None, golden={},
         )
         assert fork_time(spec) is None
 
@@ -200,6 +208,8 @@ class TestForkPlanning:
         assert fork_time(spec) == T1
 
     def test_groups_key_on_platform_and_time(self):
+        """A batch rung keys on (platform, fork time), and only times
+        that two or more specs share get one."""
         golden = {}
         inject = lambda t: [  # noqa: E731
             PlannedInjection(
@@ -212,34 +222,66 @@ class TestForkPlanning:
             _spec("airbag-normal", 2, inject(T1), golden),
             _spec("airbag-normal", 3, [], golden),
             _spec("airbag-normal", 4, inject(T1 + 1), golden),
+            _spec("airbag-normal", 5, [], golden),
+            _spec("steering", 6, inject(T1), golden),
         ]
-        groups, singles = fork_groups(specs)
-        assert [
-            (key, [spec.index for spec in members])
-            for key, members in groups
-        ] == [
-            (("airbag-normal", T1), [0, 2]),
-            (("airbag-normal", T1 + 1), [1, 4]),
+        assert shared_fork_times(specs) == {
+            ("airbag-normal", T1), ("airbag-normal", T1 + 1),
+        }
+        assert shared_fork_times(specs[:2]) == set()
+
+    def test_batch_rungs_live_for_one_batch(self):
+        """A shared time gets its rung on first use and loses it when
+        the batch ends; a shared time on a fixed rung needs none.
+        Records come back in spec order, equal to fresh builds."""
+        key = "airbag-normal"
+        golden = _campaign(key).golden()
+        path, descriptor = _space(key, [SRAM_SEU]).pairs[0]
+        inject = lambda t: [  # noqa: E731
+            PlannedInjection(time=t, target_path=path, descriptor=descriptor)
         ]
-        assert [spec.index for spec in singles] == [3]
+        spacing = DURATION // LADDER_RUNGS
+        assert (T1 - 1) % spacing and T1 % spacing == 0
+        specs = [
+            _spec(key, index, inject(T1 + index % 2), golden)
+            for index in range(4)
+        ]
+        live = []
+
+        def run_one(spec):
+            outcome = execute_runspec_tolerant(spec)
+            live.append(sorted(_WARM_PLATFORMS[key].batch_rungs))
+            return outcome
+
+        outcomes = dispatch_batch(specs, run_one)
+        assert live == [[T1 - 1]] * 4
+        assert not _WARM_PLATFORMS[key].batch_rungs
+        assert [_outcome_bytes(o) for o in outcomes] == [
+            _outcome_bytes(o) for o in _fresh(specs, key)
+        ]
 
     def test_singleton_buckets_fall_back_to_singles(self):
-        golden = {}
-        specs = [
-            _spec(
-                "airbag-normal", 0,
-                [
-                    PlannedInjection(
-                        time=T1, target_path="caps.param_mem",
-                        descriptor=SRAM_SEU,
-                    )
-                ],
-                golden,
-            )
-        ]
-        groups, singles = fork_groups(specs)
-        assert groups == []
-        assert [spec.index for spec in singles] == [0]
+        """A fork time no other spec shares gets no batch rung: the run
+        starts from the fixed rung at or before it."""
+        golden = _campaign("airbag-normal").golden()
+        path, descriptor = _space("airbag-normal", [SRAM_SEU]).pairs[0]
+        spec = _spec(
+            "airbag-normal", 0,
+            [
+                PlannedInjection(
+                    time=T1, target_path=path, descriptor=descriptor
+                )
+            ],
+            golden,
+        )
+        assert shared_fork_times([spec]) == set()
+        execute_chunk_tolerant([spec])
+        entry = _WARM_PLATFORMS["airbag-normal"]
+        spacing = DURATION // LADDER_RUNGS
+        assert not entry.batch_rungs
+        assert {
+            index: rung.time for index, rung in entry.ladders[spacing].items()
+        } == {0: 0, (T1 - 1) // spacing: (T1 - 1) // spacing * spacing}
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +298,43 @@ class TestForkEquivalence:
         campaign = _campaign(key)
         trace = TraceConfig(golden_signals=campaign.golden_signals())
         specs = _group_specs(key, descriptors, trace=trace)
-        forked = execute_fork_group_from_registry(specs)
+        forked = execute_chunk_tolerant(specs)
         fresh = _fresh(specs, key)
         assert [_outcome_bytes(o) for o in forked] == [
             _outcome_bytes(o) for o in fresh
+        ]
+
+    def test_two_durations_keep_two_ladders(self):
+        """A platform serving two run durations keeps one ladder per
+        rung spacing, each holding only the rungs its runs start from,
+        both starting from the one elaboration capture; records match
+        fresh builds."""
+        key = "airbag-normal"
+        long_duration = simtime.ms(60)
+        specs = _group_specs(key, [SRAM_SEU, SENSOR_STUCK], count=2)
+        golden = Campaign(
+            duration=long_duration, seed=5, platform=key
+        ).golden()
+        longer = [
+            dataclasses.replace(
+                spec, index=spec.index + 2, duration=long_duration,
+                golden=golden,
+            )
+            for spec in _group_specs(
+                key, [SRAM_SEU, SENSOR_STUCK], count=2, t1=T1 + 7
+            )
+        ]
+        outcomes = execute_chunk_tolerant(specs + longer)
+        entry = _WARM_PLATFORMS[key]
+        short_spacing = DURATION // LADDER_RUNGS
+        long_spacing = long_duration // LADDER_RUNGS
+        assert sorted(entry.ladders) == [short_spacing, long_spacing]
+        for spacing, t1 in ((short_spacing, T1), (long_spacing, T1 + 7)):
+            ladder = entry.ladders[spacing]
+            assert ladder[0] is entry.elaboration
+            assert sorted(ladder) == [0, (t1 - 1) // spacing]
+        assert [_outcome_bytes(o) for o in outcomes] == [
+            _outcome_bytes(o) for o in _fresh(specs + longer, key)
         ]
 
     def test_serial_executor_reassembles_group_results_in_spec_order(self):
@@ -276,18 +351,20 @@ class TestForkEquivalence:
         ]
 
     def test_campaign_fork_flag_is_invisible_in_results(self):
+        """``fork=`` is accepted and ignored: a campaign passing it runs
+        from the ladder and matches fresh builds."""
         key = "steering"
         space = _space(key, [SENSOR_OFFSET_DRIFT, SENSOR_STUCK])
 
-        def run(fork):
+        def run(**kwargs):
             campaign = _campaign(key)
             return campaign.run(
                 RandomStrategy(space, faults_per_scenario=1),
-                runs=6, batch_size=6, trace=True, fork=fork,
+                runs=6, batch_size=6, trace=True, **kwargs,
             )
 
-        plain = run(False)
-        forked = run(True)
+        plain = run(reuse_platform=False)
+        forked = run(fork=True)
         assert [
             (r.index, r.outcome, tuple(r.matched_rules),
              tuple(sorted(r.observation.items())),
@@ -310,35 +387,53 @@ class Undeclared(Module):
 
 
 class TestForkFallback:
-    def test_group_with_undeclared_module_raises(self):
+    def test_group_with_undeclared_module_builds_fresh(self):
+        """One undeclared module makes the platform uncapturable: the
+        group builds fresh per run, caches nothing, and matches fresh
+        records."""
         specs = _group_specs("airbag-normal", [SRAM_SEU], count=2)
         bundle = registry.get_platform("airbag-normal")
+        built = []
 
         def factory(sim):
+            built.append(sim)
             root = bundle.factory(sim)
             Undeclared("extra", parent=root)
             return root
 
-        with pytest.raises(ForkUnsupported, match=r"caps\.extra"):
-            execute_fork_group(
-                specs, factory, bundle.observe, bundle.classifier_factory(),
-            )
+        outcomes = execute_fork_group(
+            specs, factory, bundle.observe, bundle.classifier_factory(),
+        )
+        assert len(built) == 2
+        assert "airbag-normal" not in _WARM_PLATFORMS
+        assert [_outcome_bytes(o) for o in outcomes] == [
+            _outcome_bytes(o) for o in _fresh(specs, "airbag-normal")
+        ]
 
-    def test_mixed_group_key_rejected(self):
+    def test_mixed_fork_times_share_one_batch(self):
+        """The group entry point no longer needs one fork time: each
+        member starts from its own rung."""
         specs = _group_specs("airbag-normal", [SRAM_SEU], count=2)
         odd = _group_specs(
             "airbag-normal", [SRAM_SEU], count=2, t1=T1 + 1
         )
+        mixed = [specs[0], dataclasses.replace(odd[0], index=1)]
         bundle = registry.get_platform("airbag-normal")
-        with pytest.raises(ValueError):
-            execute_fork_group(
-                [specs[0], odd[0]], bundle.factory, bundle.observe,
-                bundle.classifier_factory(),
-            )
+        outcomes = execute_fork_group(
+            mixed, bundle.factory, bundle.observe,
+            bundle.classifier_factory(),
+        )
+        assert [_outcome_bytes(o) for o in outcomes] == [
+            _outcome_bytes(o) for o in _fresh(mixed, "airbag-normal")
+        ]
 
-    def test_chunk_tolerant_falls_back_for_hookless_platform(self):
-        """acc declares no state: fork-flagged chunk execution must
-        degrade to per-run records identical to unflagged execution."""
+    def test_chunk_tolerant_falls_back_for_hookless_platform(
+        self, run_counter,
+    ):
+        """acc declares no state: a batch sharing one injection time
+        builds fresh per run and simulates no prefix it would throw
+        away — 4 specs, 4 ``Simulator.run`` calls — with the records of
+        ``reuse_platform=False``."""
         key = "acc"
         campaign = _campaign(key)
         golden = campaign.golden()
@@ -354,16 +449,15 @@ class TestForkFallback:
         injections = [
             PlannedInjection(time=T1, target_path=path, descriptor=descriptor)
         ]
-        forked = execute_chunk_tolerant([
-            _spec(key, 0, injections, golden, fork=True),
-            _spec(key, 1, injections, golden, fork=True),
-        ])
-        plain = execute_chunk_tolerant([
-            _spec(key, 0, injections, golden, fork=False),
-            _spec(key, 1, injections, golden, fork=False),
-        ])
-        assert [_outcome_bytes(o) for o in forked] == [
-            _outcome_bytes(o) for o in plain
+        specs = [_spec(key, index, injections, golden) for index in range(4)]
+        assert shared_fork_times(specs) == {(key, T1)}
+        run_counter.reset()
+        batched = execute_chunk_tolerant(specs)
+        assert (run_counter.calls, run_counter.simulated) == (
+            4, 4 * DURATION
+        )
+        assert [_outcome_bytes(o) for o in batched] == [
+            _outcome_bytes(o) for o in _fresh(specs, key)
         ]
 
 

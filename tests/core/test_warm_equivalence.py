@@ -8,22 +8,30 @@ outcomes, digests, and checkpoint journals **byte-identical** to one
 that elaborates a fresh platform for every run.  Only wall-clock fields
 may differ — they are stripped by the canonicalizers here, exactly as
 ``TraceDigest.canonical()`` already excludes wall time.
+
+A warm run restores the latest rung of the platform's golden-run
+ladder before its first injection, so ``TestLadderEngagement`` also
+pins how much it simulates: its suffix, not the shared prefix.
 """
 
 import contextlib
+import dataclasses
 import json
 import random
 
 import pytest
 
-from repro.core import Campaign, RandomStrategy
+from repro.core import Campaign, RandomStrategy, TraceConfig
 from repro.core.runspec import (
+    LADDER_RUNGS,
     RunSpec,
     _WARM_PLATFORMS,
     clear_warm_platforms,
+    execute_chunk_tolerant,
     execute_runspec,
     execute_runspec_from_registry,
 )
+from repro.distributed.worker import _execute_lease
 from repro.core.scenario import ErrorScenario, FaultSpace
 from repro.faults import (
     SENSOR_OFFSET_DRIFT,
@@ -453,6 +461,59 @@ class TestWarmEligibility:
             outcome_row(o) for o in outcomes[False]
         ]
 
+    def test_mid_run_bare_generator_freezes_the_ladder(self):
+        """A platform that spawns a bare-generator process at 5 ms is
+        capturable up to then only: the first rung asked for past 5 ms
+        freezes its ladder, runs start from the nearest rung below, and
+        records still match fresh builds."""
+        bundle = registry.get_platform("airbag-normal")
+
+        def late_spawning_factory(sim):
+            root = bundle.factory(sim)
+
+            def idle():
+                while True:
+                    yield simtime.ms(1)
+
+            def spawner():
+                yield simtime.ms(5)
+                root.process(idle(), name="late")
+                while True:
+                    yield DURATION
+
+            root.process(spawner, name="spawner")
+            return root
+
+        golden = airbag_campaign().golden()
+        classifier = bundle.classifier_factory()
+        scenarios = [
+            scenario for scenario in
+            airbag_strategy().next_batch(random.Random(5), 8)
+            if min(p.time for p in scenario.injections) > simtime.ms(6)
+        ][:3]
+        assert len(scenarios) == 3
+        outcomes = {}
+        for reuse in (True, False):
+            outcomes[reuse] = [
+                execute_runspec(
+                    RunSpec(
+                        index=index, scenario=scenario, run_seed=index,
+                        duration=DURATION, platform="airbag-normal",
+                        golden=golden, reuse_platform=reuse,
+                    ),
+                    late_spawning_factory, bundle.observe, classifier,
+                )
+                for index, scenario in enumerate(scenarios)
+            ]
+        entry = _WARM_PLATFORMS["airbag-normal"]
+        assert entry.frozen
+        assert entry.ladders == {
+            DURATION // LADDER_RUNGS: {0: entry.elaboration}
+        }
+        assert [outcome_row(o) for o in outcomes[True]] == [
+            outcome_row(o) for o in outcomes[False]
+        ]
+
     def test_reregistered_platform_does_not_run_the_old_warm_build(self):
         """``register_platform(..., replace=True)`` must not leave the
         warm cache serving what the old factory built."""
@@ -470,3 +531,78 @@ class TestWarmEligibility:
             )
         assert all(r.observation["squib_fired"] for r in replaced.records)
         assert canonical_records(replaced) == canonical_records(fresh)
+
+
+class TestLadderEngagement:
+    """Once the ladder stands, a warm run simulates no more than its
+    suffix from one unit before its first injection plus one rung
+    spacing — on the serial executor and on the pool's and the
+    cluster's worker entry points alike — and its records, digests and
+    journal equal those of ``reuse_platform=False``."""
+
+    RUNS = 64
+
+    def _strategy(self):
+        """caps-serial's: two faults a scenario over the 5-30 ms space."""
+        return RandomStrategy(airbag_strategy().space, faults_per_scenario=2)
+
+    @staticmethod
+    def _bound(scenarios):
+        spacing = DURATION // LADDER_RUNGS
+        return sum(
+            DURATION - (min(p.time for p in scenario.injections) - 1)
+            + spacing
+            for scenario in scenarios
+        )
+
+    def test_serial_campaign_skips_the_prefix(self, tmp_path, run_counter):
+        def run(journal, **kwargs):
+            campaign = airbag_campaign()
+            campaign.golden()
+            campaign.golden_signals()
+            run_counter.reset()
+            result = campaign.run(
+                self._strategy(), runs=self.RUNS, trace=True,
+                checkpoint=str(tmp_path / journal), **kwargs,
+            )
+            return result, run_counter.simulated
+
+        run("climb.jsonl")  # builds the ladder as far as the runs need
+        laddered, simulated = run("ladder.jsonl")
+        fresh, fresh_simulated = run("fresh.jsonl", reuse_platform=False)
+        assert fresh_simulated == self.RUNS * DURATION
+        assert simulated <= self._bound(
+            record.scenario for record in laddered.records
+        )
+        assert canonical_records(laddered) == canonical_records(fresh)
+        assert canonical_journal(tmp_path / "ladder.jsonl") == (
+            canonical_journal(tmp_path / "fresh.jsonl")
+        )
+
+    @pytest.mark.parametrize("entry", ["pool-chunk", "cluster-lease"])
+    def test_worker_entry_points_skip_the_prefix(self, entry, run_counter):
+        execute = {
+            "pool-chunk": execute_chunk_tolerant,
+            "cluster-lease": lambda specs: list(_execute_lease(specs)),
+        }[entry]
+        campaign = airbag_campaign()
+        trace = TraceConfig(golden_signals=campaign.golden_signals())
+        specs = campaign.plan_batch(
+            self._strategy(), random.Random(7), self.RUNS, 0, trace=trace,
+        )
+        execute(specs)  # builds the ladder
+        run_counter.reset()
+        laddered = execute(specs)
+        assert run_counter.simulated <= self._bound(
+            spec.scenario for spec in specs
+        )
+        fresh = execute([
+            dataclasses.replace(spec, reuse_platform=False) for spec in specs
+        ])
+
+        def rows(outcomes):
+            return [
+                (outcome_row(o), o.digest.canonical()) for o in outcomes
+            ]
+
+        assert rows(laddered) == rows(fresh)

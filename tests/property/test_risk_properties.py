@@ -8,8 +8,8 @@
 * a batch of n draws or scenarios equals n one-sample calls exactly,
   wherever the stream is cut into batches;
 * same-seed sampled campaigns journal byte-identically and produce the
-  same ``RiskReport.canonical()`` across serial, parallel, and
-  snapshot-fork executors.
+  same ``RiskReport.canonical()`` across serial and parallel
+  executors, from fresh builds or the golden-run ladder.
 """
 
 import json
@@ -234,13 +234,13 @@ class TestBatchShape:
 
 # ---------------------------------------------------------------------------
 # Same-seed campaigns: byte-identical journals and canonical reports
-# across serial / parallel / fork execution.
+# across serial / parallel execution, from fresh builds or the ladder.
 # ---------------------------------------------------------------------------
 
 PIN = simtime.ms(50)
 
 
-def _run(seed, backend, fork, checkpoint):
+def _run(seed, backend, reuse_platform, checkpoint):
     profile = standard_passenger_car_profile()
     strategy = SampledScenarioStrategy(
         _space(), StressSampler(profile, seed=seed), injection_time=PIN
@@ -249,8 +249,8 @@ def _run(seed, backend, fork, checkpoint):
         duration=DURATION, seed=seed + 1, platform="airbag-normal"
     )
     kwargs = dict(
-        backend=backend, batch_size=6, trace=True, fork=fork,
-        checkpoint=checkpoint,
+        backend=backend, batch_size=6, trace=True,
+        reuse_platform=reuse_platform, checkpoint=checkpoint,
     )
     if backend == "parallel":
         kwargs["workers"] = 2
@@ -280,8 +280,12 @@ class TestCampaignEquivalenceProperty:
         with tempfile.TemporaryDirectory() as tmp:
             plain_path = pathlib.Path(tmp) / "plain.jsonl"
             fork_path = pathlib.Path(tmp) / "fork.jsonl"
-            plain = _run(seed, "serial", fork=False, checkpoint=plain_path)
-            forked = _run(seed, "serial", fork=True, checkpoint=fork_path)
+            plain = _run(
+                seed, "serial", reuse_platform=False, checkpoint=plain_path
+            )
+            forked = _run(
+                seed, "serial", reuse_platform=True, checkpoint=fork_path
+            )
             assert plain.canonical() == forked.canonical()
             assert _journal(plain_path) == _journal(fork_path)
 
@@ -295,10 +299,12 @@ class TestCampaignEquivalenceProperty:
                 serial_path = pathlib.Path(tmp) / "serial.jsonl"
                 pool_path = pathlib.Path(tmp) / "pool.jsonl"
                 serial = _run(
-                    seed, "serial", fork=False, checkpoint=serial_path
+                    seed, "serial", reuse_platform=True,
+                    checkpoint=serial_path,
                 )
                 pooled = _run(
-                    seed, "parallel", fork=False, checkpoint=pool_path
+                    seed, "parallel", reuse_platform=True,
+                    checkpoint=pool_path,
                 )
                 assert serial.canonical() == pooled.canonical()
                 assert _journal(serial_path) == _journal(pool_path)

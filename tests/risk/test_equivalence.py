@@ -3,7 +3,8 @@
 The acceptance contract of the risk engine: a fixed-seed sampled
 campaign yields the *same* `RiskReport.canonical()` bytes — and the
 same checkpoint journal, modulo wall-clock fields — whether it executes
-serially, on the process pool, or through snapshot-fork groups.
+serially or on the process pool, from fresh builds or from the
+golden-run ladder.
 """
 
 import json
@@ -39,7 +40,8 @@ def build_space():
 
 
 def run_risk(
-    backend="serial", fork=False, checkpoint=None, injection_time=None
+    backend="serial", reuse_platform=True, checkpoint=None,
+    injection_time=None,
 ):
     profile = standard_passenger_car_profile()
     strategy = SampledScenarioStrategy(
@@ -48,8 +50,8 @@ def run_risk(
         injection_time=injection_time,
     )
     kwargs = dict(
-        backend=backend, batch_size=8, trace=True, fork=fork,
-        checkpoint=checkpoint,
+        backend=backend, batch_size=8, trace=True,
+        reuse_platform=reuse_platform, checkpoint=checkpoint,
     )
     if backend == "parallel":
         kwargs["workers"] = 2
@@ -77,16 +79,19 @@ class TestBackendEquivalence:
         ).canonical()
 
     def test_fork_identical_to_per_run(self):
-        # Same pinned-time strategy with and without fork execution:
-        # the fork fast path must be invisible in the report.
-        per_run = run_risk("serial", fork=False, injection_time=PIN)
-        forked = run_risk("serial", fork=True, injection_time=PIN)
+        # Same pinned-time strategy from fresh builds and from the
+        # golden-run ladder (one batch rung per batch): the fast path
+        # must be invisible in the report.
+        per_run = run_risk(
+            "serial", reuse_platform=False, injection_time=PIN
+        )
+        forked = run_risk("serial", injection_time=PIN)
         assert per_run.canonical() == forked.canonical()
 
     def test_parallel_fork_identical_too(self, monkeypatch):
         monkeypatch.setenv("REPRO_FORCE_POOL", "1")
-        serial = run_risk("serial", fork=True, injection_time=PIN)
-        parallel = run_risk("parallel", fork=True, injection_time=PIN)
+        serial = run_risk("serial", injection_time=PIN)
+        parallel = run_risk("parallel", injection_time=PIN)
         assert serial.canonical() == parallel.canonical()
 
     def test_repeat_runs_are_byte_identical(self):
@@ -109,11 +114,10 @@ class TestJournalEquivalence:
     def test_fork_journal_matches_per_run(self, tmp_path):
         fork_path = tmp_path / "fork.jsonl"
         plain_path = tmp_path / "plain.jsonl"
+        run_risk("serial", checkpoint=fork_path, injection_time=PIN)
         run_risk(
-            "serial", fork=True, checkpoint=fork_path, injection_time=PIN
-        )
-        run_risk(
-            "serial", fork=False, checkpoint=plain_path, injection_time=PIN
+            "serial", reuse_platform=False, checkpoint=plain_path,
+            injection_time=PIN,
         )
         assert canonical_journal(fork_path) == canonical_journal(plain_path)
 

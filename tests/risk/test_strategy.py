@@ -2,7 +2,7 @@
 
 import random
 
-from repro.core.runspec import fork_groups, fork_time
+from repro.core.runspec import fork_time, shared_fork_times
 from repro.kernel import simtime
 from repro.risk import SampledScenarioStrategy, StressSampler
 
@@ -83,15 +83,12 @@ class TestForkGrouping:
         pin = simtime.ms(50)
         strategy = make_strategy(space, profile, injection_time=pin)
         specs = campaign.plan_batch(
-            strategy, random.Random(3), count=8, start_index=0, fork=True
+            strategy, random.Random(3), count=8, start_index=0
         )
         for spec in specs:
             assert fork_time(spec) == pin
-        groups, singles = fork_groups(specs)
-        assert len(groups) == 1 and not singles
-        (key, members), = groups
-        assert key == ("airbag-normal", pin)
-        assert len(members) == 8
+        # One shared time: the whole batch runs from one batch rung.
+        assert shared_fork_times(specs) == {("airbag-normal", pin)}
 
     def test_unpinned_times_vary(self, space, profile):
         strategy = make_strategy(space, profile)
