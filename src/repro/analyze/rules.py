@@ -319,7 +319,7 @@ class WallClockInModel(Rule):
 
 _PRIVATE_KERNEL_STATE = {
     "_signals", "_processes", "_runnable", "_wheel", "_update_queue",
-    "_delta_events", "_delta_resumes", "_timed_now", "_elab_snapshot",
+    "_delta_events", "_delta_resumes", "_timed_now",
     "_current", "_next", "_value", "_update_pending",
     "_waiters", "_pending_kind",
 }
@@ -328,8 +328,7 @@ _PRIVATE_KERNEL_STATE = {
 @rule
 class PrivateKernelState(Rule):
     """Reaching into kernel-private state bypasses the invariants the
-    scheduler maintains (update staging, elaboration snapshots, waiter
-    bookkeeping) — mutations through these attributes are exactly the
+    scheduler maintains (update staging, waiter bookkeeping) — mutations through these attributes are exactly the
     corruptions the warm-reuse equivalence tests exist to catch."""
 
     code = "VP006"

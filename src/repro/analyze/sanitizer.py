@@ -98,8 +98,9 @@ class DeltaRaceSanitizer:
     staged write (with the currently stepping process), and
     :meth:`end_delta` at each delta-cycle boundary, which closes the
     same-delta window.  :meth:`on_reset` clears the in-flight window
-    on :meth:`Simulator.reset` but **keeps** collected reports — the
-    sanitizer gathers evidence; a kernel reset must not destroy it.
+    on :meth:`Simulator.restore` but **keeps** collected reports — the
+    sanitizer gathers evidence; rewinding the kernel must not destroy
+    it.
     """
 
     def __init__(self, config: _t.Optional[SanitizeConfig] = None):
@@ -161,7 +162,7 @@ class DeltaRaceSanitizer:
             self._writes.clear()
 
     def on_reset(self) -> None:
-        """Kernel warm reset: drop in-flight state, keep the evidence."""
+        """Kernel restore: drop in-flight state, keep the evidence."""
         self._writes.clear()
 
     # -- inspection ----------------------------------------------------

@@ -338,39 +338,38 @@ class Campaign:
         :class:`RunSpec`, so parallel workers never race on it.
         """
         if self._golden is None:
-            sim = Simulator()
-            root = self.platform_factory(sim)
-            sim.run(until=self.duration)
-            self._golden = self.observe(root)
+            self._golden_run()
         return self._golden
 
     def golden_signals(self) -> _t.Tuple[_t.Tuple[str, _t.Any], ...]:
         """Fault-free final values of the platform's trace signals.
 
         The reference that per-run signal-deviation events are computed
-        against (cached; one extra golden simulation when the platform
-        bundle nominates ``trace_signals``, empty otherwise).
+        against (cached; read from the same run as :meth:`golden`,
+        empty when the platform bundle nominates no ``trace_signals``).
         """
         if self._golden_signals is None:
-            signals_fn = None
-            if self.platform is not None:
-                from ..platforms import registry
-
-                signals_fn = registry.get_platform(
-                    self.platform
-                ).trace_signals
-            if signals_fn is None:
-                self._golden_signals = ()
-            else:
-                sim = Simulator()
-                root = self.platform_factory(sim)
-                sim.run(until=self.duration)
-                signals = signals_fn(root) or {}
-                self._golden_signals = tuple(
-                    (name, signals[name].read())
-                    for name in sorted(signals)
-                )
+            self._golden_run()
         return self._golden_signals
+
+    def _golden_run(self) -> None:
+        """Simulate the fault-free run once and cache both references
+        it yields: the observation and the trace signals' final
+        values."""
+        sim = Simulator()
+        root = self.platform_factory(sim)
+        sim.run(until=self.duration)
+        self._golden = self.observe(root)
+        signals = {}
+        if self.platform is not None:
+            from ..platforms import registry
+
+            signals_fn = registry.get_platform(self.platform).trace_signals
+            if signals_fn is not None:
+                signals = signals_fn(root) or {}
+        self._golden_signals = tuple(
+            (name, signals[name].read()) for name in sorted(signals)
+        )
 
     # -- single run -----------------------------------------------------------
 

@@ -70,7 +70,7 @@ def _schedule_revert(sim: Simulator, revert: _t.Callable[[], None], delay: int):
         yield delay
         revert()
 
-    sim.spawn(deactivate(), name="injector.revert")  # vp-lint: disable=VP002 - transient revert; reset() discards post-elaboration spawns
+    sim.spawn(deactivate(), name="injector.revert")  # vp-lint: disable=VP002 - transient revert; a restore drops processes spawned since the capture
 
 
 # ---------------------------------------------------------------------------

@@ -631,13 +631,12 @@ def _acquire_platform(
     The warm path engages when the spec allows reuse and carries a
     platform key.  A miss elaborates and caches the platform with rung
     0 of its ladder: a module capture (:meth:`Module.capture_state`)
-    and a strict :meth:`Simulator.snapshot`, both taken before any
-    per-run scaffolding is armed.  A key re-registered with another
-    factory — or a caller-supplied factory sharing a key — therefore
-    misses.  A platform with an undeclared module fails its module
-    capture, and one whose elaboration leaves a bare-generator process
-    alive (which a lenient snapshot would silently drop from every warm
-    run) fails the strict snapshot: either builds fresh every time.
+    and a :meth:`Simulator.snapshot`, both taken before any per-run
+    scaffolding is armed.  A key re-registered with another factory —
+    or a caller-supplied factory sharing a key — therefore misses.  A
+    platform with an undeclared module fails its module capture, and
+    one whose elaboration leaves a bare-generator process alive fails
+    the snapshot: either builds fresh every time.
 
     A cached platform is restored to the latest rung at or before the
     spec's fork time minus one (:func:`_rung_for`), built on first need

@@ -1,9 +1,10 @@
 """Worker agent of the distributed campaign backend.
 
 ``python -m repro.distributed.worker --connect HOST:PORT`` attaches to
-a coordinator, pulls leases, executes them through the exact tolerant
-routines the process-pool backend ships to its workers
-(:func:`~repro.core.runspec.execute_runspec_tolerant` per run), and
+a coordinator, pulls leases, executes each through the exact routines
+the process-pool backend ships to its workers (one
+:func:`~repro.core.runspec.dispatch_batch` per lease, running
+:func:`~repro.core.runspec.execute_runspec_tolerant` per run), and
 streams one ``result`` frame back per completed run.  Streaming —
 rather than returning the lease as one block — is what gives the
 coordinator run-granular failure attribution: when this process dies
@@ -38,7 +39,12 @@ import socket
 import threading
 import typing as _t
 
-from ..core.runspec import RunSpec, execute_runspec_tolerant
+from ..core.runspec import (
+    RunOutcome,
+    RunSpec,
+    dispatch_batch,
+    execute_runspec_tolerant,
+)
 from . import protocol
 from .discovery import parse_endpoint, resolve_endpoint
 
@@ -57,11 +63,20 @@ def _heartbeat_loop(
             return
 
 
-def _execute_lease(specs: _t.Sequence[RunSpec]) -> _t.Iterator:
-    """Yield outcomes for one lease, run by run, in lease (grant)
-    order; each run starts from this process's golden-run ladder."""
-    for spec in specs:
-        yield execute_runspec_tolerant(spec)
+def execute_lease(
+    specs: _t.Sequence[RunSpec],
+    send: _t.Callable[[RunOutcome], None],
+) -> _t.List[RunOutcome]:
+    """Run one lease as one batch, the way a pool chunk runs, and hand
+    each outcome to *send* as soon as its run returns, in lease (grant)
+    order."""
+
+    def run_one(spec: RunSpec) -> RunOutcome:
+        outcome = execute_runspec_tolerant(spec)
+        send(outcome)
+        return outcome
+
+    return dispatch_batch(specs, run_one)
 
 
 def run_worker(
@@ -126,11 +141,14 @@ def run_worker(
                 for payload in message["specs"]
             ]
             lease_id = message["lease_id"]
-            for outcome in _execute_lease(specs):
+
+            def send(outcome: RunOutcome) -> None:
                 with send_lock:
                     protocol.send_frame(
                         sock, protocol.result(lease_id, outcome)
                     )
+
+            execute_lease(specs, send)
             leases_served += 1
     except (protocol.PeerGone, ConnectionError, OSError):
         return 0

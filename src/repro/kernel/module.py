@@ -109,8 +109,9 @@ class Module:
         # Kernel objects created through this module's helpers, so
         # detach() can hand them back to the kernel (a warm simulator
         # would otherwise accumulate per-run signals/processes forever).
-        self._owned_signals: list = []
-        self._owned_processes: list = []
+        # Tuples, so a capture stores them as they are.
+        self._owned_signals: tuple = ()
+        self._owned_processes: tuple = ()
         if parent is not None:
             parent.children.append(self)
 
@@ -153,12 +154,12 @@ class Module:
 
     def signal(self, name: str, initial=None) -> Signal:
         signal = Signal(self.sim, f"{self.full_name}.{name}", initial)
-        self._owned_signals.append(signal)
+        self._owned_signals += (signal,)
         return signal
 
     def wire(self, name: str, initial: bool = False) -> Wire:
         wire = Wire(self.sim, f"{self.full_name}.{name}", initial)
-        self._owned_signals.append(wire)
+        self._owned_signals += (wire,)
         return wire
 
     def clock(self, name: str, period: int, start_high: bool = False) -> Clock:
@@ -170,19 +171,19 @@ class Module:
         when the helper detaches.
         """
         clk = Clock(self.sim, f"{self.full_name}.{name}", period, start_high)
-        self._owned_signals.append(clk)
-        self._owned_processes.append(clk._proc)
+        self._owned_signals += (clk,)
+        self._owned_processes += (clk._proc,)
         return clk
 
     def process(self, behavior, name: str = "proc") -> Process:
         """Spawn *behavior* as a process owned by this module.
 
         *behavior* is a generator or a zero-argument factory returning
-        one; pass the factory (``self._run``, not ``self._run()``) when
-        the module should survive a warm :meth:`Simulator.reset`.
+        one; pass the factory (``self._run``, not ``self._run()``) so a
+        :meth:`Simulator.snapshot` can capture the process alive.
         """
         process = self.sim.spawn(behavior, name=f"{self.full_name}.{name}")
-        self._owned_processes.append(process)
+        self._owned_processes += (process,)
         return process
 
     def detach(self) -> None:
@@ -193,7 +194,7 @@ class Module:
         detach, leaving the parent — and the kernel — exactly as
         elaborated: the subtree is unlinked from ``children``, its
         processes are killed and unregistered, and its signals are
-        unregistered so a warm kernel's memory and reset cost stay
+        unregistered so a warm kernel's memory and restore cost stay
         flat no matter how many runs it serves.  Only kernel objects
         created through the module helpers (:meth:`signal`,
         :meth:`wire`, :meth:`clock`, :meth:`process`) are reclaimed;
@@ -208,10 +209,10 @@ class Module:
             for process in module._owned_processes:
                 process.kill()
                 sim._unregister_process(process)
-            module._owned_processes.clear()
+            module._owned_processes = ()
             for signal in module._owned_signals:
                 sim._unregister_signal(signal)
-            module._owned_signals.clear()
+            module._owned_signals = ()
 
     # -- state capture -------------------------------------------------------
 
@@ -226,10 +227,16 @@ class Module:
         and captured recursively.  Anything else, or an undeclared
         module, raises :class:`~repro.kernel.state.SnapshotUnsupported`
         naming the module and field.
+
+        Each module's owned signals and processes are captured too, so
+        after a restore :meth:`detach` sees exactly the kernel objects
+        the captured kernel holds.
         """
         entries: list = []
         for module in self.walk():
             _capture_fields(module, module.full_name, entries)
+            for field in ("_owned_signals", "_owned_processes"):
+                entries.append((module, field, getattr(module, field), None))
         return tuple(entries)
 
     def restore_state(self, state: tuple) -> None:
@@ -266,15 +273,15 @@ class Module:
 
         Read-only view for analysis layers (the static reachability
         analyzer maps signal ownership without touching bookkeeping
-        lists whose lifecycle belongs to the kernel).
+        whose lifecycle belongs to the kernel).
         """
-        return tuple(self._owned_signals)
+        return self._owned_signals
 
     @property
     def owned_processes(self) -> tuple:
-        """The factory-spawned processes owned by this module
+        """The processes spawned through this module's helpers
         (read-only view, same contract as :attr:`owned_signals`)."""
-        return tuple(self._owned_processes)
+        return self._owned_processes
 
     def all_injection_points(self) -> dict:
         """All injection points in this subtree, keyed by full path."""

@@ -46,8 +46,8 @@ class Process:
     zero-argument *factory* returning a fresh generator.  Factory-spawned
     processes are **restartable**: :meth:`restart` rebuilds the
     generator from scratch, which is what lets
-    :meth:`Simulator.reset <repro.kernel.scheduler.Simulator.reset>`
-    return a warm platform to its power-on state without re-running
+    :meth:`Simulator.restore <repro.kernel.scheduler.Simulator.restore>`
+    return a platform to a captured state without re-running
     elaboration.
     """
 
@@ -194,11 +194,11 @@ class Process:
         self.finished.notify(0)
 
     def restart(self) -> None:
-        """Rebuild the generator from the spawn factory (warm reset).
+        """Rebuild the generator from the spawn factory.
 
         Only valid for factory-spawned processes; the kernel calls this
-        from :meth:`Simulator.reset` with every queue about to be
-        cleared, so no notification is emitted here.
+        from :meth:`Simulator.restore` with every queue about to be
+        re-seeded from the capture, so no notification is emitted here.
         """
         if self.factory is None:
             raise TypeError(

@@ -123,12 +123,6 @@ class Simulator:
         self._stop_requested = False
         self._errors: list = []
         self._deadline_at: _t.Optional[float] = None
-        #: Lenient :meth:`snapshot` pinned at the end of elaboration (by
-        #: the first :meth:`run`) so :meth:`reset` can restore it —
-        #: including notifications a factory left behind
-        #: (``timeout_event``, ``notify``, staged writes), which a
-        #: fresh build would deliver too.
-        self._elab_snapshot: _t.Optional[KernelState] = None
         #: Hooks invoked as fn(sim) after every delta cycle (tracing).
         self.delta_hooks: list = []
         #: The process currently being stepped (sanitizer attribution;
@@ -159,9 +153,10 @@ class Simulator:
         """Register *behavior* as a process, runnable at the current time.
 
         *behavior* is a generator, or a zero-argument factory returning
-        one.  Factory-spawned processes survive :meth:`reset` (they are
-        rebuilt and rescheduled); bare-generator processes cannot rewind
-        and are killed by it.
+        one.  Only a factory-spawned process can be captured alive by
+        :meth:`snapshot` (a :meth:`restore` rebuilds it from the
+        factory); a bare generator cannot rewind, so while one is alive
+        the kernel refuses a snapshot.
         """
         process = Process(self, behavior, name)
         self._processes.append(process)
@@ -236,9 +231,8 @@ class Simulator:
     def _unregister_signal(self, signal: "SignalBase") -> None:
         """Forget *signal* (per-run scaffolding torn down via detach).
 
-        Without this, signals created by per-run helpers on a warm
-        kernel would accumulate in ``_signals`` forever, growing both
-        memory and :meth:`reset` cost with every run.
+        Without this, signals created by per-run helpers would stay
+        registered until the next :meth:`restore` drops them.
         """
         try:
             self._signals.remove(signal)
@@ -287,11 +281,6 @@ class Simulator:
         Raises :class:`~repro.kernel.process.ProcessError` if any process
         body raised.
         """
-        if self._elab_snapshot is None:
-            # Anything scheduled before the first run() is elaboration
-            # output (timed events from platform factories, staged
-            # writes); pin it now so reset() can replay it.
-            self._elab_snapshot = self.snapshot(strict=False)
         horizon = simtime.TIME_MAX if until is None else until
         self._deadline_at = (
             None if deadline_s is None
@@ -437,31 +426,30 @@ class Simulator:
         return True
 
     # ------------------------------------------------------------------
-    # Snapshot / restore (and warm reset on top of it)
+    # Snapshot / restore
     # ------------------------------------------------------------------
 
-    def snapshot(self, strict: bool = True) -> KernelState:
+    def snapshot(self) -> KernelState:
         """Capture the kernel's state at the current scheduling boundary.
 
-        Call between :meth:`run` calls (or before the first): every
-        queue except the timing wheel is empty there, and the capture is
-        exact.  The returned :class:`~repro.kernel.state.KernelState`
-        deep-copies every mutable value, so any number of later
-        :meth:`restore` calls replay from the same baseline.
+        Call between :meth:`run` calls (or before the first, to capture
+        what elaboration left behind: timed events, staged writes,
+        delta notifications): every queue except the timing wheel is
+        empty there, and the capture is exact.  The returned
+        :class:`~repro.kernel.state.KernelState` deep-copies every
+        mutable value, so any number of later :meth:`restore` calls
+        replay from the same baseline.
 
-        ``strict=True`` refuses kernels with alive bare-generator
-        processes (:class:`~repro.kernel.state.SnapshotUnsupported`) —
-        their continuations cannot be rebuilt.  ``strict=False``
-        captures them as non-restorable; restore kills and drops them,
-        which is what the elaboration snapshot behind :meth:`reset`
-        relies on.
+        A kernel with an alive bare-generator process raises
+        :class:`~repro.kernel.state.SnapshotUnsupported`: its
+        continuation cannot be rebuilt.
 
         Module-level state (memory images, component counters) is NOT
         captured: :meth:`Module.capture_state
         <repro.kernel.Module.capture_state>` does that, and callers take
         it first, so an uncapturable platform pays for no kernel capture.
         """
-        return capture_kernel_state(self, strict=strict)
+        return capture_kernel_state(self)
 
     def restore(
         self,
@@ -470,11 +458,14 @@ class Simulator:
     ) -> None:
         """Return the kernel to a captured boundary (see :meth:`snapshot`).
 
-        Factory-spawned processes are rebuilt, primed to their first
-        yield, and re-armed with their recorded wait-sets; every queue,
-        signal, and counter is re-seeded from the capture's pristine
-        masters.  ``platform_restore`` restores module-level state and
-        is invoked twice (before and after process priming — see
+        The kernel holds exactly the captured processes and signals
+        afterwards: each captured process is rebuilt from its factory,
+        primed to its first yield, and re-armed with its recorded
+        wait-set, and anything registered since the capture is killed
+        and dropped.  Every queue, signal, counter and delta hook is
+        re-seeded from the capture's pristine masters.
+        ``platform_restore`` restores module-level state and is invoked
+        twice (before and after process priming — see
         :func:`~repro.kernel.state.restore_kernel_state`).
         """
         restore_kernel_state(self, state, platform_restore)
@@ -517,28 +508,14 @@ class Simulator:
             self._wheel, (self.now + condition, seq, "process", process)
         )
 
+    # The only reason this name exists: perfbench/layers.py wraps it
+    # for its kernel.state layer.
     def reset(self) -> None:
-        """Return the kernel to its power-on state, keeping the platform.
-
-        A thin wrapper over :meth:`restore` with the elaboration
-        snapshot: factory-spawned processes are rebuilt and
-        rescheduled in original spawn order, bare-generator processes
-        (per-run stressor injections) are killed and dropped, and every
-        queue, counter, and registered signal returns to its
-        elaboration-time value — so a subsequent :meth:`run` is
-        bit-for-bit indistinguishable from one on a freshly elaborated
-        kernel.  Delta hooks are an explicit exception: tracing hooks
-        are per-run scaffolding, so reset always clears them.
-
-        Module-level state (memory contents, component counters) is
-        not touched — campaigns restore it from a
-        :meth:`Module.capture_state <repro.kernel.Module.capture_state>`
-        capture.
-        """
-        if self._elab_snapshot is None:
-            self._elab_snapshot = self.snapshot(strict=False)
-        self.restore(self._elab_snapshot)
-        self.delta_hooks.clear()
+        """Retired: take a :meth:`snapshot` and :meth:`restore` it."""
+        raise NotImplementedError(
+            "Simulator.reset() is gone: capture the start state with "
+            "snapshot() and return to it with restore()"
+        )
 
     # ------------------------------------------------------------------
     # Introspection

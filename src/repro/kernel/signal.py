@@ -40,9 +40,9 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 T = _t.TypeVar("T")
 
 #: Value types that cannot be mutated in place; restoring them by
-#: reference on a warm reset is exact.  Anything else is deep-copied so
+#: reference from a snapshot is exact.  Anything else is deep-copied so
 #: a run that mutates a signal value in place cannot leak the mutation
-#: into the "initial" value the next warm run starts from.
+#: into the value the next restored run starts from.
 _ATOMIC_TYPES = (type(None), bool, int, float, complex, str, bytes, frozenset)
 
 
@@ -71,10 +71,8 @@ class SignalBase:
     def __init__(self, sim: "Simulator", name: str, initial: _t.Any):
         self.sim = sim
         self.name = name
-        #: Elaboration-time value; :meth:`_warm_reset` restores it.
-        #: Kept as a pristine (deep) copy for mutable values: the live
-        #: ``_current`` may be mutated in place during a run, and a
-        #: warm reset must hand back what a fresh factory build would.
+        #: Elaboration-time value, a pristine (deep) copy for mutable
+        #: values; :class:`Clock` reads its phase from it.
         self._initial = pristine_copy(initial)
         self._current = initial
         self._next = initial
@@ -153,21 +151,6 @@ class SignalBase:
             for observer in self.observers:
                 observer(self, old, new)
 
-    def _warm_reset(self) -> None:
-        """Silently restore the elaboration-time value (kernel reset).
-
-        No announcement: the kernel calls this with every queue cleared
-        and every process about to restart from scratch, exactly as on a
-        fresh build where the initial value is never "written".
-        Observers are *not* cleared — their lifecycle (tracer attach and
-        detach) is owned by whoever installed them.
-        """
-        initial = pristine_copy(self._initial)
-        self._current = initial
-        self._next = initial
-        self._update_pending = False
-        self.change_count = 0
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({self.name!r}={self._current!r})"
 
@@ -212,8 +195,8 @@ class Clock(Wire):
 
     The clock toggles with the given *period* (a 50% duty cycle), driven
     by an internal process spawned on construction.  The driver is
-    factory-spawned, so a :meth:`Simulator.reset` restarts it from the
-    initial phase.
+    factory-spawned, so a :meth:`Simulator.snapshot` can capture it and
+    a restore rebuilds it at its recorded phase.
     """
 
     __slots__ = ("period", "_proc")

@@ -18,10 +18,12 @@ discarded one), and its recorded wait-set is re-attached.  That is
 sound exactly when every yield's continuation converges back to the
 loop top with all cross-iteration state living in module attributes or
 kernel objects — the *wait-site convergence* contract documented in
-DESIGN.md.  Bare-generator processes cannot be re-armed; a strict
-snapshot refuses them, a lenient one (used for the elaboration
-snapshot) marks them non-restorable and restore kills and drops them,
-matching the historical ``reset()`` behavior.
+DESIGN.md.  Bare-generator processes cannot be re-armed, so a capture
+refuses any that is alive.
+
+A restore returns the kernel to exactly the captured processes and
+signals: every captured process is rebuilt as captured, and anything
+registered since the capture is killed and dropped.
 """
 
 from __future__ import annotations
@@ -84,27 +86,23 @@ class KernelState:
         self.schema = SCHEMA_VERSION
 
 
-def capture_kernel_state(sim: "Simulator", strict: bool = True) -> KernelState:
+def capture_kernel_state(sim: "Simulator") -> KernelState:
     """Capture *sim*'s state at the current scheduling boundary.
 
-    ``strict=True`` (the mid-run :meth:`Simulator.snapshot` contract)
-    raises :class:`SnapshotUnsupported` when any *alive* process was
+    Raises :class:`SnapshotUnsupported` when any *alive* process was
     spawned from a bare generator — its continuation cannot be rebuilt.
-    ``strict=False`` (the elaboration snapshot) captures such processes
-    as non-restorable; restore kills and drops them.
     """
-    if strict:
-        stuck = [
-            process for process in sim._processes
-            if process.factory is None and process.alive
-        ]
-        if stuck:
-            names = ", ".join(repr(process.name) for process in stuck)
-            raise SnapshotUnsupported(
-                f"cannot snapshot mid-run: process(es) {names} were "
-                f"spawned from bare generators and cannot be re-armed; "
-                f"spawn from zero-arg factories"
-            )
+    stuck = [
+        process for process in sim._processes
+        if process.factory is None and process.alive
+    ]
+    if stuck:
+        names = ", ".join(repr(process.name) for process in stuck)
+        raise SnapshotUnsupported(
+            f"cannot snapshot: process(es) {names} were spawned from "
+            f"bare generators and cannot be re-armed; spawn from "
+            f"zero-arg factories"
+        )
 
     state = KernelState()
     state.now = sim.now
@@ -140,7 +138,6 @@ def capture_kernel_state(sim: "Simulator", strict: bool = True) -> KernelState:
         state.processes.append((
             process,
             process.state,
-            process.factory is not None,
             tuple(process._waiting_on),
             set(process._allof_remaining),
             process._resume_value,
@@ -218,64 +215,28 @@ def restore_kernel_state(
             f"snapshot schema {state.schema} != supported {SCHEMA_VERSION}"
         )
 
-    # 1. Process lifecycle.  Captured members are rebuilt (or killed if
-    # non-restorable / captured dead); processes spawned *after* the
-    # capture are restarted when they can be and dropped when not —
-    # the same policy reset() always applied to post-elaboration
-    # scaffolding.  restart()/kill() scrub wait bookkeeping and may
-    # notify `finished`; every queue they touch is rebuilt below.
-    # Captured members that were unregistered since the capture (a
-    # detached per-run subtree) stay gone: detach already killed them,
-    # and resurrecting them would leak scaffolding back into the
-    # kernel run after run.
+    # 1. Process lifecycle.  Every captured process is rebuilt (or
+    # killed when captured dead), registered now or not; every process
+    # registered since the capture is killed and dropped.
+    # restart()/kill() scrub wait bookkeeping and may notify
+    # `finished`; every queue they touch is rebuilt below.
     member_ids = {id(entry[0]) for entry in state.processes}
-    registered_ids = {id(process) for process in sim._processes}
-    extras = []
     for process in sim._processes:
-        if id(process) in member_ids:
-            continue
-        if process.factory is None:
+        if id(process) not in member_ids:
             process.kill()
-        else:
-            process.restart()
-            extras.append(process)
-    members = []
-    restorable_ids = set()
-    live_entries = []
     for entry in state.processes:
-        process, captured_state, restorable = entry[0], entry[1], entry[2]
-        if id(process) not in registered_ids:
-            continue
-        if not restorable:
-            process.kill()
-            continue
-        live_entries.append(entry)
-        members.append(process)
-        restorable_ids.add(id(process))
-        if captured_state in (FINISHED, KILLED):
-            process.kill()
+        if entry[1] in (FINISHED, KILLED):
+            entry[0].kill()
         else:
-            process.restart()
-    sim._processes = members + extras
+            entry[0].restart()
+    sim._processes = [entry[0] for entry in state.processes]
 
     # 2. Signal values (first pass) — before priming, so process
-    # preambles read captured values.  Signals registered after the
-    # capture are warm-reset and kept.
-    member_signal_ids = {id(entry[0]) for entry in state.signals}
-    registered_signal_ids = {id(signal) for signal in sim._signals}
-    extra_signals = [
-        signal for signal in sim._signals
-        if id(signal) not in member_signal_ids
-    ]
-    live_signal_entries = [
-        entry for entry in state.signals
-        if id(entry[0]) in registered_signal_ids
-    ]
-    for entry in live_signal_entries:
+    # preambles read captured values.  Signals registered since the
+    # capture are dropped.
+    for entry in state.signals:
         _restore_signal(entry)
-    for signal in extra_signals:
-        signal._warm_reset()
-    sim._signals = [entry[0] for entry in live_signal_entries] + extra_signals
+    sim._signals = [entry[0] for entry in state.signals]
 
     # 3. Module state (first pass) — priming preambles may read it.
     if platform_restore is not None:
@@ -284,7 +245,7 @@ def restore_kernel_state(
     # 4. Prime: advance each captured-waiting member to its first
     # yield.  The yielded condition is discarded — the recorded
     # wait-set is re-attached in step 5 instead.
-    for entry in live_entries:
+    for entry in state.processes:
         process, captured_state = entry[0], entry[1]
         if captured_state not in (WAITING, RUNNABLE):
             continue
@@ -309,21 +270,20 @@ def restore_kernel_state(
         event._pending_kind = None
     for signal in sim._update_queue:
         signal._update_pending = False
-    for entry in live_signal_entries:
+    for entry in state.signals:
         _restore_signal(entry)  # undo any staging done by priming
     for event, waiters, pending in state.events:
         event._waiters = list(waiters)
         event._pending_kind = pending
-    for entry in live_entries:
-        process, captured_state = entry[0], entry[1]
+    for process, captured_state, waiting_on, allof, resume, exc in (
+        state.processes
+    ):
         process.state = captured_state
-        process._waiting_on = tuple(entry[3])
-        process._allof_remaining = set(entry[4])
-        process._resume_value = entry[5]
-        process.exception = entry[6]
-    sim._runnable = deque(
-        [p for p in state.runnable if id(p) in restorable_ids] + extras
-    )
+        process._waiting_on = waiting_on
+        process._allof_remaining = set(allof)
+        process._resume_value = resume
+        process.exception = exc
+    sim._runnable = deque(state.runnable)
     sim._wheel = list(state.wheel)
     sim._timed_now = deque(state.timed_now)
     sim._delta_events = list(state.delta_events)

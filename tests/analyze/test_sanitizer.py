@@ -39,7 +39,7 @@ class RacyPlatform(Module):
         self.bus = self.signal("bus", 0)
         self.out = self.signal("out", 0)
         for tag in (1, 2, 3):
-            # Factory-spawned so Simulator.reset() can restart them.
+            # Factory-spawned so a snapshot can capture them.
             self.process(functools.partial(self._writer, tag),
                          name=f"writer{tag}")
         self.process(self._collector, name="collector")
@@ -148,13 +148,16 @@ def test_report_is_json_ready():
 
 
 def test_reset_keeps_evidence_and_rearms():
+    """Restoring the elaboration capture rewinds the kernel, not the
+    evidence."""
     sim = Simulator(sanitize=True)
     RacyPlatform(sim)
+    start = sim.snapshot()
     sim.run(until=CYCLES + 1)
     before = sim.sanitizer.race_count
     assert before > 0
-    sim.reset()
-    assert sim.sanitizer.race_count == before  # evidence survives reset
+    sim.restore(start)
+    assert sim.sanitizer.race_count == before  # evidence survives restore
     sim.run(until=CYCLES + 1)
     assert sim.sanitizer.race_count == 2 * before
 

@@ -1,8 +1,8 @@
 """Sanitizer evidence must survive kernel snapshot/restore.
 
-:meth:`Simulator.reset` already has this contract (race reports are
-*evidence*, the kernel's lifecycle is not theirs — see
-``test_reset_keeps_evidence_and_rearms``).  Snapshot-fork execution
+Restoring the elaboration capture already has this contract (race
+reports are *evidence*, the kernel's lifecycle is not theirs — see
+``test_reset_keeps_evidence_and_rearms``).  A mid-run capture
 (`Simulator.snapshot()` / ``restore()``) rewinds the same kernel the
 same way, so a mid-campaign restore must not launder away races the
 sanitizer already proved: a platform that raced in the fault-free
@@ -86,10 +86,14 @@ def test_restored_run_accumulates_new_evidence():
 
 
 def test_snapshot_roundtrip_matches_reset_semantics():
-    # reset() and restore() go through the same on_reset() hook; a
-    # raced kernel reports the same evidence whichever rewind is used.
-    via_reset = raced_simulator()
-    via_reset.reset()
+    # Every restore goes through the same on_reset() hook; a raced
+    # kernel reports the same evidence whether it rewinds to its
+    # elaboration capture or to a capture taken after the races.
+    via_reset = Simulator(sanitize=True)
+    RacyPlatform(via_reset)
+    start = via_reset.snapshot()
+    via_reset.run(until=CYCLES + 1)
+    via_reset.restore(start)
     via_restore = raced_simulator()
     via_restore.restore(via_restore.snapshot())
     assert (

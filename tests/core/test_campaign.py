@@ -24,7 +24,7 @@ from repro.faults import (
     SENSOR_STUCK,
     SRAM_SEU,
 )
-from repro.kernel import Simulator
+from repro.kernel import Simulator, simtime
 
 from .conftest import build_airbag_platform, observe_airbag
 
@@ -63,6 +63,18 @@ class TestGoldenRun:
     def test_golden_cached(self, airbag_campaign):
         first = airbag_campaign.golden()
         assert airbag_campaign.golden() is first
+
+    def test_golden_and_golden_signals_share_one_run(self, run_counter):
+        """The observation and the trace signals' final values come
+        from one fault-free simulation."""
+        campaign = Campaign(
+            duration=simtime.ms(20), seed=1, platform="airbag-normal"
+        )
+        campaign.golden()
+        assert campaign.golden_signals()
+        assert (run_counter.calls, run_counter.simulated) == (
+            1, campaign.duration
+        )
 
 
 class TestScenarioExecution:

@@ -31,7 +31,7 @@ from repro.core.runspec import (
     execute_runspec,
     execute_runspec_from_registry,
 )
-from repro.distributed.worker import _execute_lease
+from repro.distributed.worker import execute_lease
 from repro.core.scenario import ErrorScenario, FaultSpace
 from repro.faults import (
     SENSOR_OFFSET_DRIFT,
@@ -354,8 +354,8 @@ class TestWarmRunspecProtocol:
 
 class TestWarmEligibility:
     """Which platforms reuse a warm build: exactly those whose modules
-    all declare ``STATE_FIELDS`` and whose elaboration a strict snapshot
-    can capture."""
+    all declare ``STATE_FIELDS`` and whose elaboration a snapshot can
+    capture."""
 
     @pytest.mark.parametrize("key,descriptors", [
         ("steering", [SENSOR_OFFSET_DRIFT, SENSOR_STUCK]),
@@ -420,9 +420,8 @@ class TestWarmEligibility:
 
     def test_bare_generator_platform_builds_fresh(self):
         """Declarations alone are not enough: a factory that leaves a
-        bare-generator process alive cannot be snapshotted strictly, so
-        every run builds fresh — and matches a fresh build, where a
-        lenient capture would have dropped the process from warm runs."""
+        bare-generator process alive cannot be snapshotted, so every run
+        builds fresh — and matches a fresh build."""
         bundle = registry.get_platform("airbag-normal")
         built = []
 
@@ -533,6 +532,106 @@ class TestWarmEligibility:
         assert canonical_records(replaced) == canonical_records(fresh)
 
 
+class Ticker(Module):
+    """Spawns a 1 ms ticker at 5 ms, from a factory or a bare generator;
+    the ticker counts in ``ticks``."""
+
+    STATE_FIELDS = ("ticks",)
+
+    def __init__(self, name, parent, bare):
+        super().__init__(name, parent=parent)
+        self.bare = bare
+        self.ticks = 0
+        self.process(self._spawn, name="spawner")
+
+    def _spawn(self):
+        yield simtime.ms(5)
+        self.process(self._tick() if self.bare else self._tick, name="tick")
+
+    def _tick(self):
+        while True:
+            yield simtime.ms(1)
+            self.ticks += 1
+
+
+def observe_ticks(root):
+    return dict(airbag.observe(root), ticks=root.find("ticker").ticks)
+
+
+@pytest.fixture(params=["factory", "bare"])
+def ticker_platform(request):
+    """airbag-normal plus a :class:`Ticker` spawning from a factory or a
+    bare generator, registered under its own key."""
+    key = f"airbag-ticker-{request.param}"
+
+    def build(sim):
+        root = airbag.build_normal_operation(sim)
+        Ticker("ticker", parent=root, bare=request.param == "bare")
+        return root
+
+    registry.register_platform(
+        key, build, observe_ticks, airbag.normal_operation_classifier,
+        trace_signals=airbag.trace_signals, replace=True,
+    )
+    yield key
+    registry._REGISTRY.pop(key, None)  # vp-lint: disable=VP006 - test-only registry cleanup
+
+
+class TestProcessesSpawnedAfterTheCapture:
+    """A process a platform spawns mid-run is not part of any capture
+    taken before it: a restore to such a capture kills and drops it, so
+    warm runs equal fresh ones and the kernel's processes and the
+    module's owned list stay flat however many runs a platform serves."""
+
+    RUNS = 30
+    DURATION = simtime.ms(20)
+
+    def _campaign(self, key):
+        return Campaign(duration=self.DURATION, seed=5, platform=key)
+
+    def _strategy(self, key):
+        space = FaultSpace(
+            registry.get_platform(key).factory(Simulator()),
+            [SRAM_SEU.with_rate(5e-7), STUCK_HIGH],
+            window_start=simtime.ms(1),
+            window_end=simtime.ms(19),
+            time_bins=4,
+        )
+        return RandomStrategy(space, faults_per_scenario=1)
+
+    def test_warm_equals_fresh(self, ticker_platform, tmp_path):
+        key = ticker_platform
+        results = {}
+        for reuse in (False, True):
+            path = tmp_path / f"reuse-{reuse}.jsonl"
+            results[reuse] = self._campaign(key).run(
+                self._strategy(key), runs=self.RUNS, batch_size=self.RUNS,
+                trace=True, checkpoint=str(path), reuse_platform=reuse,
+            )
+        assert key in _WARM_PLATFORMS
+        assert canonical_records(results[True]) == (
+            canonical_records(results[False])
+        )
+        assert canonical_journal(tmp_path / "reuse-True.jsonl") == (
+            canonical_journal(tmp_path / "reuse-False.jsonl")
+        )
+
+    def test_processes_and_owned_list_stay_flat(self, ticker_platform):
+        key = ticker_platform
+
+        def counts():
+            entry = _WARM_PLATFORMS[key]
+            ticker = entry.root.find("ticker")
+            return len(entry.sim.processes), len(ticker.owned_processes)
+
+        self._campaign(key).run(self._strategy(key), runs=1)
+        after_one = counts()
+        self._campaign(key).run(
+            self._strategy(key), runs=self.RUNS, batch_size=self.RUNS,
+        )
+        assert counts() == after_one
+
+
 class TestLadderEngagement:
     """Once the ladder stands, a warm run simulates no more than its
     suffix from one unit before its first injection plus one rung
@@ -579,23 +678,55 @@ class TestLadderEngagement:
             canonical_journal(tmp_path / "fresh.jsonl")
         )
 
-    @pytest.mark.parametrize("entry", ["pool-chunk", "cluster-lease"])
-    def test_worker_entry_points_skip_the_prefix(self, entry, run_counter):
+    @pytest.mark.parametrize("entry,injects", [
+        ("pool-chunk", "random"),
+        ("cluster-lease", "random"),
+        ("pool-chunk", "pinned"),
+        ("cluster-lease", "pinned"),
+    ], ids=[
+        "pool-chunk", "cluster-lease", "pool-chunk-pinned",
+        "cluster-lease-pinned",
+    ])
+    def test_worker_entry_points_skip_the_prefix(
+        self, entry, injects, run_counter,
+    ):
+        """``pinned`` moves every injection to 50 of 60 ms: a pool chunk
+        and a cluster lease alike build one batch rung at 50 ms minus
+        one and run every spec from there."""
         execute = {
             "pool-chunk": execute_chunk_tolerant,
-            "cluster-lease": lambda specs: list(_execute_lease(specs)),
+            "cluster-lease": lambda specs: execute_lease(
+                specs, lambda outcome: None
+            ),
         }[entry]
         campaign = airbag_campaign()
         trace = TraceConfig(golden_signals=campaign.golden_signals())
         specs = campaign.plan_batch(
             self._strategy(), random.Random(7), self.RUNS, 0, trace=trace,
         )
+        if injects == "pinned":
+            fork_point = simtime.ms(50) - 1
+            specs = [
+                dataclasses.replace(spec, scenario=dataclasses.replace(
+                    spec.scenario, injections=tuple(
+                        dataclasses.replace(planned, time=fork_point + 1)
+                        for planned in spec.scenario.injections
+                    ),
+                ))
+                for spec in specs
+            ]
         execute(specs)  # builds the ladder
         run_counter.reset()
         laddered = execute(specs)
         assert run_counter.simulated <= self._bound(
             spec.scenario for spec in specs
         )
+        if injects == "pinned":
+            spacing = DURATION // LADDER_RUNGS
+            batch_rung = fork_point - fork_point // spacing * spacing
+            assert run_counter.simulated == (
+                batch_rung + self.RUNS * (DURATION - fork_point)
+            )
         fresh = execute([
             dataclasses.replace(spec, reuse_platform=False) for spec in specs
         ])

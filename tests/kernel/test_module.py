@@ -86,6 +86,7 @@ class TestDetach:
         """Per-run helpers on a warm kernel must not leak: detach hands
         every signal/process the subtree created back to the kernel."""
         top = Module("top", sim=sim)
+        start = sim.snapshot()
         baseline_signals = len(sim._signals)
         baseline_processes = len(sim._processes)
 
@@ -102,9 +103,9 @@ class TestDetach:
             helper.process(body(), name="worker")
             sim.run(until=5)
             helper.detach()
-            sim.reset()
             assert len(sim._signals) == baseline_signals
             assert len(sim._processes) == baseline_processes
+            sim.restore(start)
 
     def test_detach_kills_still_waiting_processes(self, sim):
         top = Module("top", sim=sim)

@@ -47,10 +47,31 @@ def root():
 class TestCapture:
     def test_fields_accumulate_along_the_mro(self, root):
         tagged = Tagged("tagged", parent=root)
-        fields = [(obj, field) for obj, field, *_ in root.capture_state()]
+        fields = [
+            (obj, field) for obj, field, *_ in root.capture_state()
+            if not field.startswith("_owned_")
+        ]
         assert fields == [
             (tagged, "count"), (tagged, "history"), (tagged, "tag"),
         ]
+
+    def test_owned_lists_return_to_the_capture(self, root):
+        """Each module's owned signals and processes are captured, so
+        :meth:`Module.detach` after a restore sees exactly what the
+        captured kernel holds."""
+        def idle():
+            yield 1
+
+        counter = Counter("counter", parent=root)
+        counter.signal("s", 0)
+        counter.process(idle, name="boot")
+        signals, processes = counter.owned_signals, counter.owned_processes
+        state = root.capture_state()
+        counter.signal("late", 0)
+        counter.process(idle(), name="late")
+        root.restore_state(state)
+        assert counter.owned_signals == signals
+        assert counter.owned_processes == processes
 
     def test_restore_can_be_repeated_from_one_capture(self, root):
         counter = Counter("counter", parent=root)

@@ -1,10 +1,13 @@
-"""Unit tests for :meth:`Simulator.reset` — the warm-reuse kernel half.
+"""Returning a kernel to its elaboration capture.
 
-The reset protocol (DESIGN.md · Campaign performance) promises that a
-reset kernel is *bit-for-bit* indistinguishable from a freshly built
-one: factory processes rebuilt and rescheduled in spawn order, every
-queue and counter zeroed, every registered signal back at its initial
-value.  These tests pin that promise at the kernel level; the
+Rung 0 of every warm platform's golden-run ladder is a
+:meth:`Simulator.snapshot` taken right after elaboration, restored
+after each dirty run.  The contract (DESIGN.md · Campaign performance):
+the restored kernel is *bit-for-bit* indistinguishable from a freshly
+built one — factory processes rebuilt and rescheduled in spawn order,
+every queue and counter back at its elaboration value, every signal
+back at its initial value, and everything registered since the capture
+gone.  These tests pin that promise at the kernel level; the
 platform-level half lives in ``tests/core/test_warm_equivalence.py``.
 """
 
@@ -32,16 +35,23 @@ def run_to(sim, out, until):
     return out.read(), sim.now, sim.stats()
 
 
+def elaborated(build):
+    """``(sim, built, capture)``: *build* on a new kernel, captured
+    right after elaboration."""
+    sim = Simulator()
+    built = build(sim)
+    return sim, built, sim.snapshot()
+
+
 class TestResetEquivalence:
     def test_reset_run_matches_fresh_run(self):
         fresh = Simulator()
         _, fresh_out = build_counter(fresh)
         fresh_final = run_to(fresh, fresh_out, 200)
 
-        warm = Simulator()
-        _, warm_out = build_counter(warm)
+        warm, (_, warm_out), start = elaborated(build_counter)
         run_to(warm, warm_out, 200)  # dirty the kernel
-        warm.reset()
+        warm.restore(start)
         assert warm_out.read() == 0  # signals restored pre-run
         assert warm.now == 0
         warm_final = run_to(warm, warm_out, 200)
@@ -50,45 +60,47 @@ class TestResetEquivalence:
 
     def test_reset_after_interrupted_run_matches_fresh(self):
         """A run stopped mid-flight (the deadline-timeout shape) leaves
-        pending wheel entries and runnable state; reset must still
-        restore power-on behavior exactly."""
+        pending wheel entries and runnable state; a restore must still
+        bring back power-on behavior exactly."""
         fresh = Simulator()
         _, fresh_out = build_counter(fresh)
         fresh_final = run_to(fresh, fresh_out, 200)
 
-        warm = Simulator()
-        _, warm_out = build_counter(warm)
+        warm, (_, warm_out), start = elaborated(build_counter)
         warm.run(until=73)  # interrupt at an odd time, mid-period
-        warm.reset()
+        warm.restore(start)
         warm_final = run_to(warm, warm_out, 200)
 
         assert warm_final == fresh_final
 
     def test_repeated_resets_stay_identical(self):
-        sim = Simulator()
-        _, out = build_counter(sim)
+        sim, (_, out), start = elaborated(build_counter)
         finals = []
         for _ in range(4):
             finals.append(run_to(sim, out, 150))
-            sim.reset()
+            sim.restore(start)
         assert finals.count(finals[0]) == 4
 
 
 class TestResetMechanics:
     def test_bare_generator_processes_are_killed(self):
+        """Whatever was spawned after the capture — bare generator or
+        factory — is killed and dropped; captured processes are
+        rebuilt."""
         sim = Simulator()
 
         def ticks():
             while True:
                 yield 5
 
-        bare = sim.spawn(ticks(), name="bare")  # generator, no factory
         factory = sim.spawn(ticks, name="factory")
+        start = sim.snapshot()
+        bare = sim.spawn(ticks(), name="bare")  # generator, no factory
+        late = sim.spawn(ticks, name="late")
         sim.run(until=20)
-        sim.reset()
-        assert bare.state == "killed"
-        assert bare not in sim._processes
-        assert factory in sim._processes
+        sim.restore(start)
+        assert bare.state == late.state == "killed"
+        assert sim.processes == (factory,)
         assert factory.state == "created"
 
     def test_counters_queues_and_signals_restored(self):
@@ -103,9 +115,10 @@ class TestResetMechanics:
             yield 100  # leaves a wheel entry when interrupted
 
         sim.spawn(writer, name="writer")
+        start = sim.snapshot()
         sim.run(until=10)
         assert sig.read() == 42
-        sim.reset()
+        sim.restore(start)
         assert sig.read() == 7
         assert wire.read() is False
         assert sig.change_count == 0
@@ -120,9 +133,12 @@ class TestResetMechanics:
         assert not sim._update_queue
 
     def test_delta_hooks_cleared(self):
+        """Delta hooks are kernel state like any other: one added after
+        the capture is gone after the restore."""
         sim = Simulator()
+        start = sim.snapshot()
         sim.delta_hooks.append(lambda s: None)
-        sim.reset()
+        sim.restore(start)
         assert sim.delta_hooks == []
 
     def test_restart_requires_factory(self):
@@ -138,7 +154,7 @@ class TestResetMechanics:
     def test_elaboration_timed_event_replayed_after_reset(self):
         """Timed notifications issued at elaboration time (a platform
         factory calling ``sim.timeout_event`` / ``event.notify(delay)``)
-        must fire again after a reset, exactly as on a fresh build."""
+        must fire again after a restore, exactly as on a fresh build."""
 
         def build(sim):
             log = []
@@ -155,11 +171,10 @@ class TestResetMechanics:
         fresh_log = build(fresh)
         fresh.run(until=200)
 
-        warm = Simulator()
-        warm_log = build(warm)
+        warm, warm_log, start = elaborated(build)
         warm.run(until=200)
         assert warm_log == [50]
-        warm.reset()
+        warm.restore(start)
         warm_log.clear()
         warm.run(until=200)
 
@@ -193,10 +208,9 @@ class TestResetMechanics:
         fresh.run(until=10)
         assert fresh_log == [("kick", 0, 5), ("changed", 0, 5)]
 
-        warm = Simulator()
-        warm_log = build(warm)
+        warm, warm_log, start = elaborated(build)
         warm.run(until=10)
-        warm.reset()
+        warm.restore(start)
         warm_log.clear()
         warm.run(until=10)
 
@@ -204,7 +218,7 @@ class TestResetMechanics:
 
     def test_mutable_initial_value_restored_pristine(self):
         """A run mutating a signal's (mutable) value in place must not
-        leak the mutation into the value a warm reset restores."""
+        leak the mutation into the value a restore brings back."""
         sim = Simulator()
         sig = Signal(sim, "buf", initial=[0, 0, 0])
 
@@ -214,19 +228,20 @@ class TestResetMechanics:
             sig.read()[0] = 7
 
         sim.spawn(mutator, name="mutator")
+        start = sim.snapshot()
         sim.run(until=10)
         assert sig.read() == [7, 0, 0, 99]
-        sim.reset()
+        sim.restore(start)
         assert sig.read() == [0, 0, 0]
         # A second dirty run must start from an equally pristine copy.
         sim.run(until=10)
         assert sig.read() == [7, 0, 0, 99]
-        sim.reset()
+        sim.restore(start)
         assert sig.read() == [0, 0, 0]
 
     def test_zero_delay_notifications_survive_reset_cycle(self):
         """The ``_timed_now`` fast path must behave identically on a
-        reset kernel — the deque is per-kernel state like the wheel."""
+        restored kernel — the deque is per-kernel state like the wheel."""
 
         def build(sim):
             log = []
@@ -245,10 +260,9 @@ class TestResetMechanics:
         fresh_log = build(fresh)
         fresh.run()
 
-        warm = Simulator()
-        warm_log = build(warm)
+        warm, warm_log, start = elaborated(build)
         warm.run()
-        warm.reset()
+        warm.restore(start)
         warm_log.clear()
         warm.run()
 

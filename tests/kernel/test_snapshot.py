@@ -143,8 +143,9 @@ class TestSnapshotRestore:
             sim.restore(state)
 
     def test_strict_snapshot_refuses_bare_generators(self):
-        """Bare-generator processes cannot be re-wound; strict capture
-        names the offender instead of silently dropping it."""
+        """Bare-generator processes cannot be re-wound; a capture names
+        the offender while it is alive instead of silently dropping it,
+        and captures again once it has finished."""
         sim = Simulator()
         build_counter(sim)
 
@@ -156,20 +157,62 @@ class TestSnapshotRestore:
         sim.run(until=7)
         with pytest.raises(SnapshotUnsupported, match="bare"):
             sim.snapshot()
-        # Lenient mode (the elaboration-snapshot shape) still captures.
-        assert sim.snapshot(strict=False).schema == SCHEMA_VERSION
+        sim.run(until=12)
+        assert sim.snapshot().schema == SCHEMA_VERSION
+
+
+class TestExactRestore:
+    """A restore returns the kernel to exactly the captured processes
+    and signals, whatever was registered or unregistered since."""
+
+    def test_signals_registered_after_the_capture_are_dropped(self):
+        sim = Simulator()
+        _, out = build_counter(sim)
+        captured = sim.signals
+        state = sim.snapshot()
+        late = Signal(sim, "late", initial=0)
+        late.write(1)
+        sim.run(until=30)
+        sim.restore(state)
+        assert sim.signals == captured
+        sim.run(until=200)
+        assert out.read() == 20
+
+    def test_captured_process_unregistered_since_is_rebuilt(self):
+        """Nothing gates a captured process on being registered now: a
+        capture taken while it ran brings it back."""
+        sim = Simulator()
+        clk, out = build_counter(sim)
+        sim.run(until=45)
+        state = sim.snapshot()
+        straight = Simulator()
+        _, straight_out = build_counter(straight)
+        straight.run(until=200)
+        clk.stop()
+        sim._unregister_process(clk._proc)
+        sim.run(until=100)
+        sim.restore(state)
+        assert clk._proc in sim.processes
+        sim.run(until=200)
+        assert (out.read(), sim.now) == (straight_out.read(), straight.now)
 
 
 class TestWarmResetWrappers:
+    """What ``reset()`` did — return to the elaboration boundary — is a
+    :meth:`Simulator.snapshot` taken right after elaboration and
+    restored; the name only raises."""
+
     def test_reset_is_a_restore_of_the_elaboration_snapshot(self):
-        """PR 4's reset() now rides the KernelState machinery: after a
-        dirty run, reset == restore(elab snapshot) + cleared hooks."""
         sim = Simulator()
         _, out = build_counter(sim)
+        start = sim.snapshot()
         sim.run(until=200)
-        assert isinstance(sim._elab_snapshot, KernelState)
+        with pytest.raises(
+            NotImplementedError, match=r"snapshot\(\).*restore\(\)"
+        ):
+            sim.reset()
         sim.delta_hooks.append(lambda _sim: None)
-        sim.reset()
+        sim.restore(start)
         assert sim.now == 0
         assert out.read() == 0
         assert sim.delta_hooks == []
@@ -177,8 +220,8 @@ class TestWarmResetWrappers:
         assert out.read() == 20
 
     def test_reset_still_equals_fresh_after_mid_run_snapshots(self):
-        """Taking mid-run snapshots must not disturb the pinned
-        elaboration boundary reset() restores."""
+        """Taking mid-run snapshots must not disturb an elaboration
+        capture taken before them."""
         fresh = Simulator()
         _, fresh_out = build_counter(fresh)
         fresh.run(until=130)
@@ -186,9 +229,10 @@ class TestWarmResetWrappers:
 
         sim = Simulator()
         _, out = build_counter(sim)
+        start = sim.snapshot()
         sim.run(until=40)
         sim.snapshot()
         sim.run(until=130)
-        sim.reset()
+        sim.restore(start)
         sim.run(until=130)
         assert final_state(sim, out) == expected
