@@ -10,10 +10,7 @@ for the mapping to the paper.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import os
-import pathlib
 import random
 import statistics
 import time
@@ -114,18 +111,19 @@ def median_speedup(
     candidate: _t.Callable[[], float],
     pairs: int = 5,
 ) -> float:
-    """The median over *pairs* alternating trial pairs of baseline wall
-    over candidate wall: on a shared host one trial's ratio swings by
-    tens of percent, a median of pairs far less."""
+    """The median over *pairs* alternating trial pairs of baseline
+    seconds over candidate seconds, each callable timing one trial: on
+    a shared host one trial's ratio swings by tens of percent, a median
+    of pairs far less."""
     ratios = []
     for pair in range(pairs):
         if pair % 2:
-            candidate_wall = candidate()
-            baseline_wall = baseline()
+            candidate_s = candidate()
+            baseline_s = baseline()
         else:
-            baseline_wall = baseline()
-            candidate_wall = candidate()
-        ratios.append(baseline_wall / candidate_wall)
+            baseline_s = baseline()
+            candidate_s = candidate()
+        ratios.append(baseline_s / candidate_s)
     return statistics.median(ratios)
 
 
@@ -216,16 +214,10 @@ def timed_fork_campaign(
     return result, time.perf_counter() - start
 
 
-#: Where the campaign-throughput trajectory lands, next to the suite.
-CAMPAIGN_BENCH_PATH = pathlib.Path(__file__).parent / "BENCH_campaign.json"
-
 CPUS = os.cpu_count() or 1
 
-#: Whether the parallel backend is worth measuring on this host.  The
-#: emitter *always* attempts it when this holds — including when
-#: ``REPRO_FORCE_POOL=1`` pins the pool on a single-CPU host — and
-#: records an explicit ``skipped`` entry otherwise, so a missing
-#: parallel measurement is visible in the JSON instead of silent.
+#: Whether a pool run is meaningful on this host: at least 2 CPUs, or
+#: ``REPRO_FORCE_POOL=1`` pinning the pool on regardless.
 POOL_OK = CPUS >= 2 or os.environ.get("REPRO_FORCE_POOL") == "1"
 
 
@@ -258,101 +250,7 @@ def timed_campaign(
     return result, time.perf_counter() - start
 
 
-def campaign_bench_entry(label: str, result, wall_s: float, workers: int):
-    """One backend measurement for ``BENCH_campaign.json``.
-
-    ``result`` is a finished :class:`~repro.core.CampaignResult`; the
-    per-run kernel counters come from the executor instrumentation, so
-    throughput can be compared as *simulation work per second*, not
-    just runs per second.
-    """
-    runs = result.runs
-    totals = result.kernel_totals
-    per_run = {
-        key: (totals[key] / runs if runs else 0)
-        for key in ("events", "process_steps", "delta_cycles", "wall_s")
-    }
-    return {
-        "backend": label,
-        "workers": workers,
-        "runs": runs,
-        "wall_s": round(wall_s, 4),
-        "runs_per_s": round(runs / wall_s, 2) if wall_s else None,
-        "per_run_kernel": {
-            "events": round(per_run["events"], 1),
-            "process_steps": round(per_run["process_steps"], 1),
-            "delta_cycles": round(per_run["delta_cycles"], 1),
-            "sim_wall_s": round(per_run["wall_s"], 6),
-        },
-        "outcomes": {
-            outcome.name: count
-            for outcome, count in result.outcome_histogram().items()
-            if count
-        },
-        # Fault-tolerance accounting (see CampaignResult.report()):
-        # degraded or resumed runs must be visible in the trajectory,
-        # otherwise a regression that silently times runs out would
-        # read as a throughput *improvement*.
-        "robustness": {
-            "completed": result.completed,
-            "timed_out": result.timed_out,
-            "terminally_failed": result.terminally_failed,
-            "retried": result.retried,
-            "resumed": result.resumed,
-        },
-    }
-
-
-def skipped_entry(label: str, reason: str) -> dict:
-    """A placeholder entry for a backend this host could not measure.
-
-    An explicit ``{"backend": ..., "skipped": reason}`` row keeps the
-    trajectory honest: downstream readers can tell "not measured here"
-    apart from "someone dropped the measurement"."""
-    return {"backend": label, "skipped": reason}
-
-
-def emit_campaign_bench(entries: _t.Sequence[dict]) -> pathlib.Path:
-    """Write ``BENCH_campaign.json`` so the runs/sec trajectory (and
-    the per-backend speedup over serial) is tracked across PRs.
-
-    Every measured non-serial entry gains ``speedup_vs_serial``
-    relative to the ``"serial"`` entry of the same emission — unless
-    the caller precomputed one (the ``fork`` entry measures a
-    different, prefix-heavy workload, so its speedup is taken against
-    the matching ``serial-prefix`` row, not the standard campaign)."""
-    entries = [dict(e) for e in entries]
-    serial = next(
-        (
-            e for e in entries
-            if e["backend"] == "serial" and not e.get("skipped")
-        ),
-        None,
-    )
-    if serial and serial.get("runs_per_s"):
-        for entry in entries:
-            if entry is serial or entry.get("skipped"):
-                continue
-            if entry.get("runs_per_s") and "speedup_vs_serial" not in entry:
-                entry["speedup_vs_serial"] = round(
-                    entry["runs_per_s"] / serial["runs_per_s"], 2
-                )
-    payload: _t.Dict[str, _t.Any] = {"campaign": "fig3-caps-airbag",
-                                     "entries": entries}
-    parallel = [
-        e for e in entries
-        if e["backend"].startswith("parallel") and not e.get("skipped")
-    ]
-    if serial and parallel and serial["runs_per_s"]:
-        best = max(e["runs_per_s"] or 0 for e in parallel)
-        payload["parallel_speedup"] = round(best / serial["runs_per_s"], 2)
-    CAMPAIGN_BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    return CAMPAIGN_BENCH_PATH
-
-
-# -- distributed-backend workloads (E19, BENCH_distributed.json) ------------
-
-DIST_BENCH_PATH = pathlib.Path(__file__).parent / "BENCH_distributed.json"
+# -- distributed-backend workloads (E19) -------------------------------------
 
 
 def timed_distributed_campaign(
@@ -367,7 +265,7 @@ def timed_distributed_campaign(
     Cluster spawn and worker warm-up happen *outside* the timed region
     — a short priming campaign on the same executor brings every
     worker process up, imports paid, platform elaborated and cached —
-    mirroring how the other emitters prime the golden run.  The row
+    mirroring how the other timed helpers prime the golden run.  The row
     then measures the distributed loop itself (leases, result frames,
     steal-quantum scheduling), which is the part that must beat
     serial, not interpreter start-up.
@@ -398,68 +296,18 @@ def timed_distributed_campaign(
     return result, wall
 
 
-def emit_distributed_bench(
-    entries: _t.Sequence[dict], min_speedup: float = 2.0
-) -> pathlib.Path:
-    """Write ``BENCH_distributed.json``: serial vs loopback-cluster rows
-    plus the speedup acceptance.
-
-    The acceptance block records the best measured distributed speedup
-    against *min_speedup*; ``"speedup": null`` (skipped row) means the
-    emitting host could not measure it — visible, not silent — and the
-    ``perf_smoke.py`` guard then skips rather than inventing a ratio.
-    """
-    entries = [dict(entry) for entry in entries]
-    serial = next(
-        (
-            e for e in entries
-            if e["backend"] == "serial" and not e.get("skipped")
-        ),
-        None,
-    )
-    if serial and serial.get("runs_per_s"):
-        for entry in entries:
-            if entry is serial or entry.get("skipped"):
-                continue
-            if entry.get("runs_per_s") and "speedup_vs_serial" not in entry:
-                entry["speedup_vs_serial"] = round(
-                    entry["runs_per_s"] / serial["runs_per_s"], 2
-                )
-    measured = [
-        entry["speedup_vs_serial"] for entry in entries
-        if entry["backend"].startswith("distributed")
-        and not entry.get("skipped")
-        and entry.get("speedup_vs_serial")
-    ]
-    payload = {
-        "campaign": "distributed-caps-airbag",
-        "entries": entries,
-        "acceptance": {
-            "min_speedup": min_speedup,
-            "speedup": max(measured) if measured else None,
-            "met": (max(measured) >= min_speedup) if measured else None,
-        },
-    }
-    DIST_BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    return DIST_BENCH_PATH
-
-
-# -- risk-engine workloads (E18, BENCH_risk.json) ---------------------------
-
-RISK_BENCH_PATH = pathlib.Path(__file__).parent / "BENCH_risk.json"
+# -- risk-engine workloads (E18) ---------------------------------------------
 
 
 def timed_risk_campaign(
     runs: int,
     ladder: bool = True,
-    backend: str = "serial",
-    workers: _t.Optional[int] = None,
     batch_size: int = 64,
     seed: int = 7,
     sampler_seed: int = 11,
 ):
     """One seeded mission-sampled CAPS campaign; returns
-    ``(report, result, campaign_wall_s, report_wall_s)``.
+    ``(report, campaign_wall_s)``.
 
     The strategy draws correlated environment trajectories per run and
     re-derives the stressor spec per sample (the per-sample Fig. 2
@@ -467,8 +315,8 @@ def timed_risk_campaign(
     so the ladder skips the shared fault-free prefix exactly as in the
     plain fork workload; ``ladder=False`` runs the serial spec stream
     on :class:`RungZeroExecutor` instead, which simulates it.  The
-    report fold is timed separately — it is pure post-processing and
-    must not pollute the backend comparison.
+    report fold is pure post-processing and stays outside the timed
+    region.
     """
     from repro.mission import standard_passenger_car_profile
     from repro.risk import RiskReport, SampledScenarioStrategy, StressSampler
@@ -480,54 +328,13 @@ def timed_risk_campaign(
         StressSampler(standard_passenger_car_profile(), seed=sampler_seed),
         injection_time=FORK_INJECT_TIME,
     )
-    if not ladder:
-        backend = RungZeroExecutor()
+    backend = "serial" if ladder else RungZeroExecutor()
     start = time.perf_counter()
     result = campaign.run(
-        strategy, runs=runs, backend=backend, workers=workers,
-        batch_size=batch_size,
+        strategy, runs=runs, backend=backend, batch_size=batch_size,
     )
     campaign_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    report = RiskReport.from_campaign(result, strategy)
-    report_wall = time.perf_counter() - start
-    return report, result, campaign_wall, report_wall
-
-
-def emit_risk_bench(
-    entries: _t.Sequence[dict], report_sha: str
-) -> pathlib.Path:
-    """Write ``BENCH_risk.json``: per-backend rows plus the canonical
-    report fingerprint.
-
-    The sha pins the *content* side of the contract in the same file
-    as the throughput numbers: every measured backend in the emission
-    produced a byte-identical ``RiskReport.canonical()``, so a reader
-    comparing trajectories across PRs can also see at a glance whether
-    the sampled campaign itself changed."""
-    entries = [dict(entry) for entry in entries]
-    serial = next(
-        (
-            e for e in entries
-            if e["backend"] == "serial" and not e.get("skipped")
-        ),
-        None,
-    )
-    if serial and serial.get("runs_per_s"):
-        for entry in entries:
-            if entry is serial or entry.get("skipped"):
-                continue
-            if entry.get("runs_per_s") and "speedup_vs_serial" not in entry:
-                entry["speedup_vs_serial"] = round(
-                    entry["runs_per_s"] / serial["runs_per_s"], 2
-                )
-    payload = {
-        "campaign": "risk-engine-sampled-airbag",
-        "entries": entries,
-        "report_sha": report_sha,
-    }
-    RISK_BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    return RISK_BENCH_PATH
+    return RiskReport.from_campaign(result, strategy), campaign_wall
 
 
 def adder_vectors(circuit) -> _t.Callable[[random.Random], dict]:
@@ -543,9 +350,7 @@ def adder_vectors(circuit) -> _t.Callable[[random.Random], dict]:
     return source
 
 
-# -- gate-level fault-campaign workloads (E17, BENCH_gate.json) -------------
-
-GATE_BENCH_PATH = pathlib.Path(__file__).parent / "BENCH_gate.json"
+# -- gate-level fault-campaign workloads (E17) -------------------------------
 
 #: The enumeration workloads of the vector-engine acceptance: every
 #: (net, kind) site of the two headline circuits, all three fault
@@ -569,7 +374,7 @@ def timed_gate_campaign(
     seed: int = 17,
 ):
     """One full fault-enumeration campaign; returns (profile, outcomes,
-    sites, wall_s).
+    wall_s).
 
     The workload is the acceptance one: every net x (seu, stuck0,
     stuck1) site of the named circuit, ``runs_per_site`` shared
@@ -592,68 +397,4 @@ def timed_gate_campaign(
         seed=seed,
         engine=engine,
     )
-    return profile, outcomes, sites, time.perf_counter() - start
-
-
-def gate_bench_entry(
-    circuit_name: str,
-    engine: str,
-    profile,
-    sites,
-    runs_per_site: int,
-    wall_s: float,
-) -> dict:
-    """One engine measurement for ``BENCH_gate.json``.
-
-    ``runs`` counts golden-vs-faulty comparisons (sites x vectors) —
-    the unit the scalar engine pays one full simulator run for."""
-    runs = profile.total
-    return {
-        "circuit": circuit_name,
-        "engine": engine,
-        "sites": len(sites),
-        "runs_per_site": runs_per_site,
-        "runs": runs,
-        "wall_s": round(wall_s, 4),
-        "runs_per_s": round(runs / wall_s, 1) if wall_s else None,
-        "masking_rate": round(profile.masking_rate, 4),
-        "multi_bit_fraction": round(profile.multi_bit_fraction, 4),
-        "profile_sha": hashlib.sha256(profile.canonical()).hexdigest()[:16],
-    }
-
-
-def emit_gate_bench(
-    entries: _t.Sequence[dict], min_speedup: float = 20.0
-) -> pathlib.Path:
-    """Write ``BENCH_gate.json``: per-circuit scalar/vector rows plus
-    the speedup-vs-scalar acceptance.
-
-    Every vector entry gains ``speedup_vs_scalar`` against the scalar
-    row of the same circuit; the acceptance block records the worst
-    per-circuit speedup against *min_speedup* so the CI guard
-    (``perf_smoke.py``) has a committed baseline ratio to compare to.
-    """
-    entries = [dict(entry) for entry in entries]
-    scalar_by_circuit = {
-        e["circuit"]: e for e in entries if e["engine"] == "scalar"
-    }
-    speedups = []
-    for entry in entries:
-        if entry["engine"] != "vector":
-            continue
-        scalar = scalar_by_circuit.get(entry["circuit"])
-        if scalar and entry["wall_s"]:
-            speedup = round(scalar["wall_s"] / entry["wall_s"], 1)
-            entry["speedup_vs_scalar"] = speedup
-            speedups.append(speedup)
-    payload = {
-        "campaign": "gate-fault-enumeration",
-        "entries": entries,
-        "acceptance": {
-            "min_speedup": min_speedup,
-            "worst_speedup": min(speedups) if speedups else None,
-            "met": bool(speedups) and min(speedups) >= min_speedup,
-        },
-    }
-    GATE_BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    return GATE_BENCH_PATH
+    return profile, outcomes, time.perf_counter() - start

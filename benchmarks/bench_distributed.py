@@ -1,66 +1,24 @@
-"""Distributed-backend throughput — the ``BENCH_distributed.json``
-emitter (E19).
+"""Distributed-backend speed floor (E19).
 
 The loopback :class:`~repro.distributed.LocalCluster` runs the exact
-coordinator/worker protocol a multi-host fleet would, so its
-runs-per-second row is the honest lower bound on what distribution
-buys: real subprocesses, real sockets, JSON frames, per-worker shard
-journals.  Two rows:
-
-* ``serial`` — the in-process reference loop on the same spec stream;
-* ``distributed`` — a 4-worker loopback cluster, attempted when the
-  host can make it meaningful (>= 2 CPUs or ``REPRO_FORCE_POOL=1``)
-  and recorded as an explicit ``skipped: single-cpu`` row otherwise.
+coordinator/worker protocol a multi-host fleet would — real
+subprocesses, real sockets, JSON frames, per-worker shard journals —
+so its speedup over the in-process serial loop is the honest lower
+bound on what distribution buys.  perfbench's caps-cluster2 measures
+the 2-worker rate itself; this suite keeps the ratio floor, >= 2x on 4
+workers, on hosts with at least 4 CPUs.
 
 Content before cost, as everywhere in this suite: the distributed
-histogram and matched-rule stream must equal serial's before a
-throughput number is recorded.  ``REPRO_DIST_BENCH_RUNS`` shrinks the
-campaign for CI smoke runs.
+histogram and matched-rule stream must equal serial's before the
+ratio counts.
 """
-
-import os
 
 import pytest
 
-from _workloads import (
-    CPUS,
-    POOL_OK,
-    campaign_bench_entry,
-    emit_distributed_bench,
-    skipped_entry,
-    timed_campaign,
-    timed_distributed_campaign,
-)
+from _workloads import CPUS, timed_campaign, timed_distributed_campaign
 
-DIST_RUNS = int(os.environ.get("REPRO_DIST_BENCH_RUNS", "240"))
 DIST_WORKERS = 4
 ACCEPT_RUNS = 480
-
-
-def test_distributed_backend_throughput_json():
-    """Emit BENCH_distributed.json: serial vs 4-worker loopback."""
-    serial, serial_wall = timed_campaign(
-        "serial", runs=DIST_RUNS, batch_size=DIST_RUNS
-    )
-    entries = [campaign_bench_entry("serial", serial, serial_wall, 1)]
-    assert entries[0]["robustness"]["completed"] == serial.runs
-    if POOL_OK:
-        distributed, dist_wall = timed_distributed_campaign(
-            DIST_RUNS, workers=DIST_WORKERS
-        )
-        assert distributed.outcome_histogram() == serial.outcome_histogram()
-        assert [r.matched_rules for r in distributed.records] == [
-            r.matched_rules for r in serial.records
-        ]
-        entries.append(
-            campaign_bench_entry(
-                "distributed", distributed, dist_wall, DIST_WORKERS
-            )
-        )
-    else:
-        entries.append(skipped_entry("distributed", "single-cpu"))
-    path = emit_distributed_bench(entries)
-    assert path.exists()
 
 
 @pytest.mark.skipif(

@@ -12,9 +12,8 @@ and coverage is updated.  Benchmarked quantities:
 
 ``extra_info`` records the outcome distribution — the quantitative
 evaluation the paper says repeated stress tests enable.  The backend
-comparison (serial warm/fresh, parallel chunked) lives in
-``bench_campaign.py``, which emits ``BENCH_campaign.json`` so the
-speedup trajectory is tracked across PRs.
+speed floors (ladder, warm reuse, pool) live in ``bench_campaign.py``;
+``perfbench/`` measures the campaign's absolute rates.
 """
 
 from repro.core import (

@@ -5,7 +5,8 @@ Two claims to keep honest:
 * **Analysis is cheap.** The structural reach analysis runs once per
   platform, before any campaign; its wall time must stay negligible
   next to even a handful of simulation runs.  The bench times
-  :func:`repro.analyze.reach.analyze_platform` on every built-in.
+  :func:`repro.analyze.reach.analyze_platform` on every built-in
+  (pytest-benchmark).
 * **Pruning buys hazard-finding efficiency.** On a dead-site-heavy
   platform (the CAPS airbag with six provisioned-but-unwired spare
   SRAM banks — two thirds of the SEU fault space is statically dead),
@@ -20,11 +21,8 @@ and test_prune_equivalence.py own that); the bench does assert the
 pruned campaign found the identical hazard count, since a cheaper
 campaign that misses hazards would be worse than useless.
 """
-# vp-lint: disable-file=VP005 - benchmark: wall-clock timing is the measurement, not model behavior
 
-import json
-import pathlib
-import time
+import pytest
 
 from repro.analyze.reach import ReachabilityPruner, analyze_platform
 from repro.core import Campaign, Outcome, RandomStrategy
@@ -36,12 +34,9 @@ from repro.platforms import airbag, registry
 
 from _workloads import STUCK_HIGH
 
-REACH_BENCH_PATH = pathlib.Path(__file__).parent / "BENCH_reach.json"
-
 PLATFORMS = (
     "airbag-normal", "airbag-crash", "acc", "steering", "hostile-dut",
 )
-ANALYSIS_REPEATS = 3
 
 ISLANDED_KEY = "airbag-islands-bench"
 SPARES = 6
@@ -71,15 +66,11 @@ registry.register_platform(
 )
 
 
-def timed_analysis(name):
-    best = None
-    for _ in range(ANALYSIS_REPEATS):
-        start = time.perf_counter()
-        report = analyze_platform(name)
-        wall = time.perf_counter() - start
-        if best is None or wall < best:
-            best = wall
-    return report, best
+@pytest.mark.parametrize("name", PLATFORMS)
+def test_reach_analysis_cost(benchmark, name):
+    report = benchmark(analyze_platform, name)
+    benchmark.extra_info["sites"] = len(report.sites)
+    benchmark.extra_info["graph_edges"] = report.graph.edge_count
 
 
 def islanded_strategy():
@@ -97,78 +88,33 @@ def run_campaign(prune=None):
     campaign = Campaign(
         duration=simtime.ms(60), seed=SEED, platform=ISLANDED_KEY,
     )
-    campaign.golden()
-    start = time.perf_counter()
-    result = campaign.run(islanded_strategy(), runs=RUNS, prune=prune)
-    wall = time.perf_counter() - start
-    return result, wall
+    return campaign.run(islanded_strategy(), runs=RUNS, prune=prune)
 
 
-def campaign_entry(label, result, wall):
-    executed = result.runs - result.pruned
-    hazards = result.count(Outcome.HAZARDOUS)
-    return {
-        "mode": label,
-        "planned_runs": result.runs,
-        "executed_runs": executed,
-        "pruned_runs": result.pruned,
-        "hazards": hazards,
-        "hazards_per_1k_executed": round(
-            1000.0 * hazards / executed, 3
-        ) if executed else None,
-        "wall_s": round(wall, 4),
-    }
+def hazards_per_1k_executed(result):
+    return 1000.0 * result.count(Outcome.HAZARDOUS) / (
+        result.runs - result.pruned
+    )
 
 
-def test_reach_bench_json():
-    analysis_rows = []
-    for name in PLATFORMS:
-        report, wall = timed_analysis(name)
-        analysis_rows.append({
-            "platform": name,
-            "wall_s": round(wall, 5),
-            "sites": len(report.sites),
-            "graph_nodes": len(report.graph.nodes),
-            "graph_edges": report.graph.edge_count,
-            "surface_known": report.surface_known,
-        })
-
-    baseline, base_wall = run_campaign()
+def test_reach_pruning_efficiency():
+    baseline = run_campaign()
     pruner = ReachabilityPruner.for_platform(ISLANDED_KEY)
     assert pruner.dead, "bench workload must expose dead sites"
-    pruned, pruned_wall = run_campaign(prune=pruner)
-
-    base_entry = campaign_entry("unpruned", baseline, base_wall)
-    pruned_entry = campaign_entry("pruned", pruned, pruned_wall)
+    pruned = run_campaign(prune=pruner)
 
     # Pruning must not change what was found — only what was paid.
-    assert pruned_entry["hazards"] == base_entry["hazards"]
-    assert pruned_entry["planned_runs"] == base_entry["planned_runs"]
-    assert pruned_entry["pruned_runs"] > 0
-
-    ratio = (
-        pruned_entry["hazards_per_1k_executed"]
-        / base_entry["hazards_per_1k_executed"]
+    assert pruned.count(Outcome.HAZARDOUS) == baseline.count(
+        Outcome.HAZARDOUS
     )
-    payload = {
-        "experiment": "reach_pruning",
-        "analysis": analysis_rows,
-        "pruning_workload": {
-            "platform": ISLANDED_KEY,
-            "spare_banks": SPARES,
-            "dead_sites": sorted(pruner.dead),
-            "runs": RUNS,
-            "faults_per_scenario": 2,
-            "seed": SEED,
-        },
-        "campaigns": [base_entry, pruned_entry],
-        "efficiency_ratio": round(ratio, 3),
-        "efficiency_floor": EFFICIENCY_FLOOR,
-    }
-    REACH_BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    assert pruned.runs == baseline.runs
+    assert pruned.pruned > 0
 
+    pruned_rate = hazards_per_1k_executed(pruned)
+    base_rate = hazards_per_1k_executed(baseline)
+    ratio = pruned_rate / base_rate
     assert ratio >= EFFICIENCY_FLOOR, (
-        f"pruned campaign found {pruned_entry['hazards_per_1k_executed']} "
-        f"hazards/1k executed vs {base_entry['hazards_per_1k_executed']} "
-        f"unpruned — ratio {ratio:.2f} under the {EFFICIENCY_FLOOR}x floor"
+        f"pruned campaign found {pruned_rate:.3f} hazards/1k executed vs "
+        f"{base_rate:.3f} unpruned — ratio {ratio:.2f} under the "
+        f"{EFFICIENCY_FLOOR}x floor"
     )

@@ -1,74 +1,53 @@
 """E13 — observability overhead on the Fig. 3 campaign loop.
 
 Tracing is only admissible if it does not distort the experiment it
-observes.  This suite prices the three trace modes on the same seeded
+observes.  This suite runs the three trace modes on the same seeded
 CAPS campaign:
 
-* ``off`` — the PR-2 baseline, no recorder armed;
+* ``off`` — no recorder armed;
 * ``digest`` — bounded rings + event digest riding ``RunOutcome``
-  (the always-on candidate; budget: <= 15% runs/s overhead);
+  (the always-on candidate; budget: <= 15% CPU-time overhead over
+  off, the median of 31 alternating pairs after an untimed warm-up —
+  process CPU time, which other processes on a shared host do not
+  inflate the way they inflate wall time);
 * ``full`` — digest plus per-run JSONL spill to disk (the debugging
-  mode, priced but not budgeted).
-
-Every run emits ``BENCH_trace.json`` so the overhead trajectory is
-tracked across PRs alongside ``BENCH_campaign.json``.
+  mode, checked for content, not budgeted).
 """
-# vp-lint: disable-file=VP005 - benchmark: wall-clock timing is the measurement, not model behavior
 
-import json
-import pathlib
 import time
 
 from repro.core import RandomStrategy, TraceConfig
 
-from _workloads import airbag_campaign, airbag_space
+from _workloads import airbag_campaign, airbag_space, median_speedup
 
-TRACE_BENCH_PATH = pathlib.Path(__file__).parent / "BENCH_trace.json"
 RUNS = 40
-REPEATS = 3
 DIGEST_OVERHEAD_BUDGET = 0.15
+#: A 40-run trial takes 25-45 ms of CPU, and a shared host's speed
+#: shifts for longer than that: on a shared 2-CPU host, with a ~5%
+#: overhead, the median of 5 pairs read over the budget in 5 of 30
+#: measurements, of 15 pairs in 1 of 45, of 31 pairs in none of 15
+#: (at most 6.5%).
+PAIRS = 31
 
 
 def timed_campaign(trace):
-    """One seeded CAPS campaign; returns (result, wall_s)."""
+    """One seeded CAPS campaign; returns (result, cpu_s)."""
     campaign = airbag_campaign()
     campaign.golden()  # prime outside the timed region for every mode
     if trace is not None:
         campaign.golden_signals()  # ditto for the trace reference
     strategy = RandomStrategy(airbag_space(), faults_per_scenario=1)
-    start = time.perf_counter()
+    start = time.process_time()
     result = campaign.run(strategy, runs=RUNS, trace=trace)
-    return result, time.perf_counter() - start
+    return result, time.process_time() - start
 
 
-def best_rate(trace):
-    """Best-of-N runs/s — the repeatable cost, not scheduler noise."""
-    best = None
-    result = None
-    for _ in range(REPEATS):
-        result, wall = timed_campaign(trace)
-        rate = RUNS / wall
-        if best is None or rate > best:
-            best = rate
-    return result, best
-
-
-def emit_trace_bench(entries):
-    payload = {
-        "experiment": "trace_overhead",
-        "workload": {"platform": "airbag-normal", "runs": RUNS},
-        "budget_digest_overhead": DIGEST_OVERHEAD_BUDGET,
-        "modes": entries,
-    }
-    TRACE_BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    return TRACE_BENCH_PATH
-
-
-def test_trace_overhead_json(tmp_path):
-    off_result, off_rate = best_rate(None)
-    digest_result, digest_rate = best_rate(TraceConfig())
+def test_digest_trace_overhead_budget(tmp_path):
+    # The content runs double as the untimed warm-up of each mode.
+    off_result, _ = timed_campaign(None)
+    digest_result, _ = timed_campaign(TraceConfig())
     full_config = TraceConfig(mode="full", spill_dir=str(tmp_path))
-    full_result, full_rate = best_rate(full_config)
+    full_result, _ = timed_campaign(full_config)
 
     # Tracing must be observational: outcomes are untouched.
     assert (
@@ -82,26 +61,17 @@ def test_trace_overhead_json(tmp_path):
     # Full mode spilled one JSONL per run.
     assert len(list(tmp_path.glob("run-*.jsonl"))) >= RUNS
 
-    def entry(mode, rate):
-        return {
-            "mode": mode,
-            "runs_per_s": round(rate, 2),
-            "overhead_vs_off": round(off_rate / rate - 1.0, 4),
-        }
-
-    entries = [
-        entry("off", off_rate),
-        entry("digest", digest_rate),
-        entry("full", full_rate),
-    ]
-    path = emit_trace_bench(entries)
-    assert path.exists()
-
-    digest_overhead = off_rate / digest_rate - 1.0
+    # Digest CPU time over off CPU time: 1 + the overhead.
+    ratio = median_speedup(
+        lambda: timed_campaign(TraceConfig())[1],
+        lambda: timed_campaign(None)[1],
+        pairs=PAIRS,
+    )
+    digest_overhead = ratio - 1.0
     assert digest_overhead <= DIGEST_OVERHEAD_BUDGET, (
-        f"digest tracing costs {digest_overhead:.1%} runs/s "
-        f"(budget {DIGEST_OVERHEAD_BUDGET:.0%}): "
-        f"off {off_rate:.1f}/s vs digest {digest_rate:.1f}/s"
+        f"digest tracing costs {digest_overhead:.1%} CPU time over "
+        f"tracing off (median of {PAIRS} pairs; budget "
+        f"{DIGEST_OVERHEAD_BUDGET:.0%})"
     )
 
 

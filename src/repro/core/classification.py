@@ -46,10 +46,10 @@ class Outcome(enum.IntEnum):
        :data:`DETECTED_SAFE` and :data:`TIMING_FAILURE` renumbered
        ``TIMING_FAILURE``/``SDC``/``HAZARDOUS`` from 3/4/5 to 4/5/6 —
        a breaking change for anything that persisted raw ``int``
-       values.  Everything this repo persists (checkpoint journals,
-       ``BENCH_*.json`` reports) stores outcome **names**; external
-       consumers must do the same and rehydrate via ``Outcome[name]``,
-       never via a stored integer.
+       values.  Everything this repo persists or sends (checkpoint
+       and shard journals, cluster frames) stores outcome **names**;
+       external consumers must do the same and rehydrate via
+       ``Outcome[name]``, never via a stored integer.
     """
 
     NO_EFFECT = 0

@@ -228,13 +228,16 @@ class Module:
         module, raises :class:`~repro.kernel.state.SnapshotUnsupported`
         naming the module and field.
 
-        Each module's owned signals and processes are captured too, so
-        after a restore :meth:`detach` sees exactly the kernel objects
-        the captured kernel holds.
+        Each module's children, owned signals and owned processes are
+        captured too, so a restore returns the tree to its captured
+        shape and :meth:`detach` sees exactly the kernel objects the
+        captured kernel holds.
         """
         entries: list = []
         for module in self.walk():
             _capture_fields(module, module.full_name, entries)
+            children = module.children
+            entries.append((module, "children", children, tuple(children)))
             for field in ("_owned_signals", "_owned_processes"):
                 entries.append((module, field, getattr(module, field), None))
         return tuple(entries)

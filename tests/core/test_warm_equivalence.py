@@ -532,21 +532,31 @@ class TestWarmEligibility:
         assert canonical_records(replaced) == canonical_records(fresh)
 
 
+class Part(Module):
+    """The declared child a :class:`Ticker` adds mid-run."""
+
+    STATE_FIELDS = ()
+
+
 class Ticker(Module):
-    """Spawns a 1 ms ticker at 5 ms, from a factory or a bare generator;
-    the ticker counts in ``ticks``."""
+    """At 5 ms spawns a 1 ms ticker, from a factory or a bare generator,
+    or adds a :class:`Part` child; the ticker counts in ``ticks``."""
 
     STATE_FIELDS = ("ticks",)
 
-    def __init__(self, name, parent, bare):
+    def __init__(self, name, parent, spawns):
         super().__init__(name, parent=parent)
-        self.bare = bare
+        self.spawns = spawns
         self.ticks = 0
         self.process(self._spawn, name="spawner")
 
     def _spawn(self):
         yield simtime.ms(5)
-        self.process(self._tick() if self.bare else self._tick, name="tick")
+        if self.spawns == "child":
+            Part("part", parent=self)
+        else:
+            bare = self.spawns == "bare"
+            self.process(self._tick() if bare else self._tick, name="tick")
 
     def _tick(self):
         while True:
@@ -555,18 +565,21 @@ class Ticker(Module):
 
 
 def observe_ticks(root):
-    return dict(airbag.observe(root), ticks=root.find("ticker").ticks)
+    ticker = root.find("ticker")
+    return dict(
+        airbag.observe(root), ticks=ticker.ticks, parts=len(ticker.children),
+    )
 
 
-@pytest.fixture(params=["factory", "bare"])
+@pytest.fixture(params=["factory", "bare", "child"])
 def ticker_platform(request):
     """airbag-normal plus a :class:`Ticker` spawning from a factory or a
-    bare generator, registered under its own key."""
+    bare generator, or adding a child, registered under its own key."""
     key = f"airbag-ticker-{request.param}"
 
     def build(sim):
         root = airbag.build_normal_operation(sim)
-        Ticker("ticker", parent=root, bare=request.param == "bare")
+        Ticker("ticker", parent=root, spawns=request.param)
         return root
 
     registry.register_platform(
@@ -578,10 +591,11 @@ def ticker_platform(request):
 
 
 class TestProcessesSpawnedAfterTheCapture:
-    """A process a platform spawns mid-run is not part of any capture
-    taken before it: a restore to such a capture kills and drops it, so
-    warm runs equal fresh ones and the kernel's processes and the
-    module's owned list stay flat however many runs a platform serves."""
+    """A process a platform spawns, or a child it adds, mid-run is not
+    part of any capture taken before it: a restore to such a capture
+    kills and drops it, so warm runs equal fresh ones and the kernel's
+    processes, the module's owned list and its children stay flat
+    however many runs a platform serves."""
 
     RUNS = 30
     DURATION = simtime.ms(20)
@@ -622,7 +636,10 @@ class TestProcessesSpawnedAfterTheCapture:
         def counts():
             entry = _WARM_PLATFORMS[key]
             ticker = entry.root.find("ticker")
-            return len(entry.sim.processes), len(ticker.owned_processes)
+            return (
+                len(entry.sim.processes), len(ticker.owned_processes),
+                len(ticker.children),
+            )
 
         self._campaign(key).run(self._strategy(key), runs=1)
         after_one = counts()

@@ -49,7 +49,7 @@ class TestCapture:
         tagged = Tagged("tagged", parent=root)
         fields = [
             (obj, field) for obj, field, *_ in root.capture_state()
-            if not field.startswith("_owned_")
+            if field not in ("children", "_owned_signals", "_owned_processes")
         ]
         assert fields == [
             (tagged, "count"), (tagged, "history"), (tagged, "tag"),
@@ -72,6 +72,19 @@ class TestCapture:
         root.restore_state(state)
         assert counter.owned_signals == signals
         assert counter.owned_processes == processes
+
+    def test_children_return_to_the_capture(self, root):
+        """Each module's children are captured, so a child added after
+        the capture is dropped and the list keeps its identity."""
+        counter = Counter("counter", parent=root)
+        children = root.children
+        state = root.capture_state()
+        Counter("late", parent=counter)
+        Counter("late", parent=root)
+        root.restore_state(state)
+        assert root.children is children
+        assert root.children == [counter]
+        assert counter.children == []
 
     def test_restore_can_be_repeated_from_one_capture(self, root):
         counter = Counter("counter", parent=root)

@@ -191,8 +191,10 @@ def test_strategy_stream_is_pinned(pins, name):
 
 
 #: Digests recorded from the one-sample implementation, per OpenBLAS
-#: kernel family: SkylakeX (AVX-512 Xeons) and Haswell (AVX2 CPUs, AMD
-#: Zen included; recorded under ``OPENBLAS_CORETYPE=Haswell``).
+#: kernel family: SkylakeX (AVX-512 Xeons), Haswell (AVX2 CPUs, AMD Zen
+#: included; recorded under ``OPENBLAS_CORETYPE=Haswell``), and
+#: Sandybridge and Prescott (AVX and SSE3 kernels, which round alike;
+#: recorded under ``OPENBLAS_CORETYPE=Sandybridge`` and ``Prescott``).
 SKYLAKEX_PINS = {
     "sampler": {
         "default": "46e9608aa38aa9269245c8e496a0c170b8e87416e2551f036b921319faff465f",
@@ -233,8 +235,29 @@ HASWELL_PINS = {
     },
 }
 
+SANDYBRIDGE_PINS = {
+    "sampler": {
+        "default": "1d1bad3392c4af934553e3f93541951d1e692bb83cb1b8f96fe3f5515ee0196c",
+        "identity-quiet": "690bee08600bd68b52d3d7aea68c0a5439437e53960d06fec759b4bf7bb3496d",
+        "one-segment": "6c795acd053b6594d6470650f817a3434b9114d9448fa140e110b7edb003f06b",
+        "storms": "3330861b11bda69939d89aa389cf925bc24e7eed1f228358fbe3619556efacbe",
+        "twelve-sticky": "c75c80438a6d5a10843ffea1481a47ec46db04af6720779d1538626ab4147726",
+        "two-segments-iid": "144d34dc7009ce32bdcc904656ff0787a122f3d35936944c7e21ad6449df3c45",
+        "wide-short": "626bca64c3f0c3d40f19ea3de7c2acb15759c6c4eca53dd2f8d47262b968a13b",
+    },
+    "strategy": {
+        "one-fault-pinned": "04b0c5bbc95e3dab76dbb58e9204a3291624f348f9181f414a3d3f5c0e73d8f2",
+        "one-fault-unpinned": "4069aa27352b7607ac6768f8c40b34f614f82e39fe98e9148e92474ccea325f9",
+        "shared-rng-pinned": "e04f70ff7b77aeac6e8ae7a62eab0de3788772c809e58016eb15388221ffbcf1",
+        "shared-rng-unpinned": "980d5587d54f9510754583f4213b4f6ad4f1d403429eef63c163bb5f8c23efa0",
+        "two-faults-pinned": "6a9cf13c797194f17e86c245e59231c47ef1a83dbbffe87b9857e04c16e314e4",
+        "two-faults-unpinned": "1f2eb3c1b9a30032ada097d7e54f2163cc757aa15d59c603a296c0a688cec493",
+    },
+}
+
 #: Digest tables keyed by the host's :func:`arithmetic_digest`.
 PINS = {
     "8d7afb6ec9c53c6d20e7658ebb3daadb86a25eeb58f95cdd7a1feb0384ec1865": SKYLAKEX_PINS,
     "5fb178cbc94252e8221e2f402becd34d01aa05059685d88a6753360e6cb6081a": HASWELL_PINS,
+    "94f6c6bca42db0b774e2e4899234807a14aeaf4358037fe23be0c9520bb854a7": SANDYBRIDGE_PINS,
 }
